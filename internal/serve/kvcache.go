@@ -29,6 +29,8 @@ type BlockManager struct {
 	pinned     map[int][]*sharedBlock // request ID → shared prefix blocks pinned, in chain order
 	shared     map[blockKey]*sharedBlock
 	tick       int64 // monotonic op counter driving LRU order (deterministic)
+	cached     int   // shared blocks nobody pins (refs == 0), kept so InUse is O(1)
+	dedupPass  int64 // stamp of the latest DedupSavedTokens call
 	peakInUse  int
 	evicted    int
 	hitTokens  int
@@ -65,6 +67,11 @@ type sharedBlock struct {
 	// Within one release, deeper blocks get smaller sequences, so eviction
 	// is leaf-first and a surviving block's chain parents survive too.
 	lruSeq int64
+	// dedupPass and dedupLen are DedupSavedTokens scratch, used on chain
+	// roots only: the pass that last saw the root, and the longest pin list
+	// under it in that pass.
+	dedupPass int64
+	dedupLen  int
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective mix that spreads
@@ -181,19 +188,11 @@ func (m *BlockManager) FreeBlocks() int { return m.free }
 // InUse returns the actively held block count: private blocks plus shared
 // blocks with a nonzero refcount. Cached (refcount-zero) blocks are not in
 // use — they are reclaimable retained state, reported by CachedBlocks.
-func (m *BlockManager) InUse() int { return m.total - m.free - m.CachedBlocks() }
+func (m *BlockManager) InUse() int { return m.total - m.free - m.cached }
 
 // CachedBlocks returns the number of retained prefix blocks nobody pins
 // (refcount zero, evictable).
-func (m *BlockManager) CachedBlocks() int {
-	n := 0
-	for _, b := range m.shared {
-		if b.refs == 0 {
-			n++
-		}
-	}
-	return n
-}
+func (m *BlockManager) CachedBlocks() int { return m.cached }
 
 // PeakInUse returns the allocation high-water mark (private + shared +
 // cached — the memory-pressure peak).
@@ -210,19 +209,6 @@ func (m *BlockManager) HitTokens() int { return m.hitTokens }
 // MissTokens returns the cumulative shareable prefix tokens that were not
 // in cache at acquisition time.
 func (m *BlockManager) MissTokens() int { return m.missTokens }
-
-// Holders returns how many requests currently hold private blocks or pin
-// shared ones.
-func (m *BlockManager) Holders() int {
-	ids := make(map[int]struct{}, len(m.held)+len(m.pinned))
-	for id := range m.held {
-		ids[id] = struct{}{}
-	}
-	for id := range m.pinned {
-		ids[id] = struct{}{}
-	}
-	return len(ids)
-}
 
 // BlocksFor returns the blocks needed to hold `tokens` cache entries.
 func (m *BlockManager) BlocksFor(tokens int) int {
@@ -256,6 +242,7 @@ func (m *BlockManager) evictOne() bool {
 	}
 	delete(m.shared, victim.key)
 	m.free++
+	m.cached--
 	m.evicted++
 	return true
 }
@@ -275,6 +262,7 @@ func (m *BlockManager) FlushCache() int {
 		m.evicted++
 		n++
 	}
+	m.cached -= n
 	return n
 }
 
@@ -315,13 +303,17 @@ func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens 
 		return 0, fmt.Errorf("serve: request %d acquires a prefix it already holds", reqID)
 	}
 	nBlocks := prefixTokens / m.blockTokens // full blocks only
+	pins := make([]*sharedBlock, 0, nBlocks)
 	hitsDone := false
 	for idx := 0; idx < nBlocks; idx++ {
 		key := blockKey{hash: chainHash(prefixHash, idx), idx: idx}
 		b, ok := m.shared[key]
 		if ok {
+			if b.refs == 0 {
+				m.cached-- // revived from the cache
+			}
 			b.refs++
-			m.pinned[reqID] = append(m.pinned[reqID], b)
+			pins = append(pins, b)
 			if b.computed && !hitsDone {
 				cachedTokens += m.blockTokens
 			} else {
@@ -336,8 +328,11 @@ func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens 
 		m.free--
 		nb := &sharedBlock{key: key, refs: 1}
 		m.shared[key] = nb
-		m.pinned[reqID] = append(m.pinned[reqID], nb)
+		pins = append(pins, nb)
 		m.notePeak()
+	}
+	if len(pins) > 0 {
+		m.pinned[reqID] = pins
 	}
 	return cachedTokens, nil
 }
@@ -413,6 +408,7 @@ func (m *BlockManager) Release(reqID int) int {
 			}
 			// Deeper blocks get smaller sequences → evicted first.
 			b.lruSeq = m.tick<<16 - int64(b.key.idx)
+			m.cached++
 		}
 	}
 	return n
@@ -424,28 +420,45 @@ func (m *BlockManager) Release(reqID int) int {
 // the decode step's resident working set: shared prefix pages are mapped
 // once however many rows stream them, so they do not widen TLB reach or
 // enclave paging pressure.
+//
+// It is O(len(ids)) and allocation-free. A request's pins are the chain
+// blocks at indices 0, 1, … of one prefix hash, contiguous from the root;
+// chainHash is a bijection of the prefix hash at a fixed index, so rows
+// pinning one block pin one prefix hash; and a pinned block is never
+// evicted or replaced, so those rows pin the same object at every index
+// they both reach. Two rows therefore share blocks exactly when they share
+// a root, and then over their whole common length: the unique blocks under
+// one root are its longest pin list.
 func (m *BlockManager) DedupSavedTokens(ids []int) int {
 	if !m.sharing {
 		return 0
 	}
-	seen := make(map[blockKey]struct{})
+	m.dedupPass++
 	pins, uniq := 0, 0
 	for _, id := range ids {
-		for _, b := range m.pinned[id] {
-			pins++
-			if _, ok := seen[b.key]; !ok {
-				seen[b.key] = struct{}{}
-				uniq++
-			}
+		p := m.pinned[id]
+		if len(p) == 0 {
+			continue
+		}
+		pins += len(p)
+		root := p[0]
+		if root.dedupPass != m.dedupPass {
+			root.dedupPass, root.dedupLen = m.dedupPass, 0
+		}
+		if len(p) > root.dedupLen {
+			uniq += len(p) - root.dedupLen
+			root.dedupLen = len(p)
 		}
 	}
 	return (pins - uniq) * m.blockTokens
 }
 
 // CheckConservation verifies the pool's accounting invariants: every block
-// is exactly one of free, privately held, or backing a shared entry, and
-// shared refcounts equal the pins held by requests. Tests call this after
-// adversarial share/preempt/evict interleavings.
+// is exactly one of free, privately held, or backing a shared entry;
+// shared refcounts equal the pins held by requests; every pin list is the
+// published chain from index 0; and the cached-block counter matches a
+// recount of the unpinned (necessarily computed) blocks. Tests call this
+// after adversarial share/preempt/evict interleavings.
 func (m *BlockManager) CheckConservation() error {
 	private := 0
 	for _, n := range m.held {
@@ -458,12 +471,18 @@ func (m *BlockManager) CheckConservation() error {
 		return fmt.Errorf("serve: block conservation broken: free %d + private %d + shared %d = %d, want %d",
 			m.free, private, len(m.shared), got, m.total)
 	}
+	// DedupSavedTokens relies on every pin list being a chain from index 0
+	// whose blocks are the ones published under their keys.
 	pinRefs := make(map[blockKey]int)
-	for _, pins := range m.pinned {
-		for _, b := range pins {
+	for id, pins := range m.pinned {
+		for i, b := range pins {
+			if b.key.idx != i || m.shared[b.key] != b {
+				return fmt.Errorf("serve: request %d pin %d is block %v, not the published chain block", id, i, b.key)
+			}
 			pinRefs[b.key]++
 		}
 	}
+	cached := 0
 	for key, b := range m.shared {
 		if b.refs < 0 {
 			return fmt.Errorf("serve: negative refcount %d on block %v", b.refs, key)
@@ -471,10 +490,15 @@ func (m *BlockManager) CheckConservation() error {
 		if b.refs != pinRefs[key] {
 			return fmt.Errorf("serve: block %v refcount %d but %d pins", key, b.refs, pinRefs[key])
 		}
-		delete(pinRefs, key)
+		if b.refs == 0 {
+			if !b.computed {
+				return fmt.Errorf("serve: unpinned block %v was never computed", key)
+			}
+			cached++
+		}
 	}
-	for key, n := range pinRefs {
-		return fmt.Errorf("serve: %d pins on unpublished block %v", n, key)
+	if cached != m.cached {
+		return fmt.Errorf("serve: %d cached blocks but the counter says %d", cached, m.cached)
 	}
 	swapSum := 0
 	for id, n := range m.swapped {

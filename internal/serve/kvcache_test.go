@@ -5,6 +5,38 @@ import (
 	"testing"
 )
 
+// holders returns how many requests hold private blocks or pin shared ones.
+func holders(m *BlockManager) int {
+	ids := make(map[int]struct{}, len(m.held)+len(m.pinned))
+	for id := range m.held {
+		ids[id] = struct{}{}
+	}
+	for id := range m.pinned {
+		ids[id] = struct{}{}
+	}
+	return len(ids)
+}
+
+// dedupOracle is DedupSavedTokens by definition: pins minus distinct pinned
+// blocks across the rows, counted with a set of block keys.
+func dedupOracle(m *BlockManager, ids []int) int {
+	if !m.sharing {
+		return 0
+	}
+	seen := make(map[blockKey]struct{})
+	pins, uniq := 0, 0
+	for _, id := range ids {
+		for _, b := range m.pinned[id] {
+			pins++
+			if _, ok := seen[b.key]; !ok {
+				seen[b.key] = struct{}{}
+				uniq++
+			}
+		}
+	}
+	return (pins - uniq) * m.blockTokens
+}
+
 func TestBlockManagerAccounting(t *testing.T) {
 	// 10 blocks of 16 tokens × 4 bytes/token = 64 bytes/block.
 	m, err := NewBlockManager(640, 16, 4, false)
@@ -50,8 +82,8 @@ func TestBlockManagerAccounting(t *testing.T) {
 	if m.Grow(2, 8*16) {
 		t.Fatal("oversized grow succeeded")
 	}
-	if m.InUse() != 4 || m.Holders() != 1 {
-		t.Fatalf("failed grow changed state: in-use %d holders %d", m.InUse(), m.Holders())
+	if m.InUse() != 4 || holders(m) != 1 {
+		t.Fatalf("failed grow changed state: in-use %d holders %d", m.InUse(), holders(m))
 	}
 
 	if n := m.Release(1); n != 4 {
@@ -404,5 +436,183 @@ func TestBlockManagerRejectsHopelessBudget(t *testing.T) {
 	}
 	if _, err := NewBlockManager(1<<20, 0, 4, true); err == nil {
 		t.Fatal("zero block size accepted")
+	}
+}
+
+func TestDedupSavedTokensMatchesOracle(t *testing.T) {
+	// A 40-block pool against up to 9-block prefixes over five identities:
+	// acquires run out of blocks midway, grows evict cached chains, and
+	// crashes flush the cache. After every step DedupSavedTokens must equal
+	// the set-based oracle on random row subsets, duplicates and pinless
+	// IDs included.
+	m, err := NewBlockManager(40*64, 16, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ConfigureSwapPool(16)
+	rng := rand.New(rand.NewSource(20261017))
+	type live struct {
+		id, prefix, prefixLen int
+		swapped               bool
+	}
+	var actives []live
+	nextID := 0
+	var cutShort, halfBuilt, flushed, swaps, nonzero int
+	acquire := func(r live) {
+		if _, err := m.AcquirePrefix(r.id, prefixHash(r.prefix), r.prefixLen); err != nil {
+			t.Fatal(err)
+		}
+		if m.SharedTokens(r.id) < r.prefixLen/16*16 {
+			cutShort++
+		}
+	}
+	for step := 0; step < 6000; step++ {
+		switch op := rng.Intn(10); {
+		case op <= 1 || len(actives) == 0: // admit
+			r := live{id: nextID, prefix: rng.Intn(5) + 1, prefixLen: rng.Intn(9*16 + 8)}
+			nextID++
+			acquire(r)
+			m.Grow(r.id, r.prefixLen+rng.Intn(32))
+			actives = append(actives, r)
+		case op == 2: // decode growth, evicting cached blocks under pressure
+			if r := actives[rng.Intn(len(actives))]; !r.swapped {
+				m.Grow(r.id, r.prefixLen+rng.Intn(256))
+			}
+		case op == 3: // prefill progress
+			if r := actives[rng.Intn(len(actives))]; !r.swapped {
+				m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+			}
+		case op == 4: // park
+			k := rng.Intn(len(actives))
+			if !actives[k].swapped && m.SwapOut(actives[k].id, actives[k].prefixLen+rng.Intn(32)+1) {
+				actives[k].swapped = true
+				swaps++
+			}
+		case op == 5: // restore: swap in, then re-pin the prefix
+			k := rng.Intn(len(actives))
+			if actives[k].swapped {
+				m.SwapIn(actives[k].id)
+				actives[k].swapped = false
+				acquire(actives[k])
+				m.Grow(actives[k].id, actives[k].prefixLen)
+			}
+		case op == 6 && rng.Intn(20) == 0: // rare crash; other op 6 draws release
+
+			if m.FlushCache() > 0 {
+				flushed++
+			}
+		default: // finish, preempt or drop
+			k := rng.Intn(len(actives))
+			r := actives[k]
+			if r.swapped {
+				m.SwapIn(r.id)
+			} else {
+				for _, b := range m.pinned[r.id] {
+					if b.refs == 1 && !b.computed {
+						halfBuilt++
+						break
+					}
+				}
+				m.Release(r.id)
+			}
+			actives = append(actives[:k], actives[k+1:]...)
+		}
+		if err := m.CheckConservation(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			ids := make([]int, rng.Intn(14))
+			for i := range ids {
+				switch {
+				case len(actives) > 0 && rng.Intn(6) != 0:
+					ids[i] = actives[rng.Intn(len(actives))].id
+				case rng.Intn(2) == 0:
+					ids[i] = nextID + rng.Intn(4) // never admitted
+				default:
+					ids[i] = rng.Intn(nextID + 1) // likely finished
+				}
+			}
+			got, want := m.DedupSavedTokens(ids), dedupOracle(m, ids)
+			if got != want {
+				t.Fatalf("step %d: DedupSavedTokens(%v) = %d, oracle %d", step, ids, got, want)
+			}
+			if want > 0 {
+				nonzero++
+			}
+		}
+	}
+	// The walk must have reached every path it claims to cover.
+	for name, n := range map[string]int{
+		"acquire cut short by pool exhaustion": cutShort,
+		"release of a half-built block":        halfBuilt,
+		"cache flush":                          flushed,
+		"swap-out":                             swaps,
+		"eviction":                             m.EvictedBlocks(),
+		"nonzero dedup":                        nonzero,
+	} {
+		if n == 0 {
+			t.Errorf("random walk never exercised %s", name)
+		}
+	}
+}
+
+// ragShapeManager builds the prefix-cache state of one rag-fleet replica's
+// decode round: 16-token blocks, four computed 72-block prefixes and 12
+// decode rows (three per prefix), each grown past its prefix.
+func ragShapeManager(tb testing.TB) (*BlockManager, []int) {
+	tb.Helper()
+	m, err := NewBlockManager(4096*64, 16, 4, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const prefixTokens = 72 * 16
+	ids := make([]int, 12)
+	for i := range ids {
+		ids[i] = i
+		if _, err := m.AcquirePrefix(i, prefixHash(i%4+1), prefixTokens); err != nil {
+			tb.Fatal(err)
+		}
+		m.MarkComputed(i, prefixTokens)
+		if !m.Grow(i, prefixTokens+400) {
+			tb.Fatal("grow failed")
+		}
+	}
+	return m, ids
+}
+
+func TestDedupSavedTokensAllocationFree(t *testing.T) {
+	m, ids := ragShapeManager(t)
+	if got, want := m.DedupSavedTokens(ids), 8*72*16; got != want {
+		t.Fatalf("DedupSavedTokens = %d, want %d (two repeat rows per prefix)", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.DedupSavedTokens(ids) }); allocs != 0 {
+		t.Fatalf("DedupSavedTokens allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// dedupSink keeps the benchmarked call from being optimised away.
+var dedupSink int
+
+func BenchmarkBlockManagerDedup(b *testing.B) {
+	m, ids := ragShapeManager(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dedupSink = m.DedupSavedTokens(ids)
+	}
+}
+
+// BenchmarkBlockManagerAcquirePrefix pins one more row onto a cached
+// 72-block prefix and releases it again, so the pool is the same at every
+// iteration.
+func BenchmarkBlockManagerAcquirePrefix(b *testing.B) {
+	m, _ := ragShapeManager(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.AcquirePrefix(100, prefixHash(i%4+1), 72*16); err != nil {
+			b.Fatal(err)
+		}
+		m.Release(100)
 	}
 }

@@ -280,7 +280,7 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name:  "quantile-mode",
-			usage: "latency quantile computation: exact (per-request samples, sorted) or sketch (streaming DDSketch + epoch-sharded simulation — flat memory at any request count)",
+			usage: "latency quantile computation: exact (per-request samples, sorted) or sketch (streaming DDSketch, no per-request state — flat memory at any request count)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.quantileMode, n, "exact", u) },
 			check: func() error {
 				if _, err := serve.ParseQuantileMode(o.quantileMode); err != nil {
@@ -308,7 +308,7 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name:  "epoch-requests",
-			usage: "arrivals scheduled per simulation epoch (0 = 65536 in sketch mode, unsharded in exact mode)",
+			usage: "accepted and ignored (runs keep one arrival pending; negative values are rejected)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.epochReqs, n, 0, u) },
 		},
 		{

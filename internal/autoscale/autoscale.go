@@ -390,21 +390,21 @@ func Run(classes []Class, cfg Config) (*Report, error) {
 		cls[cheapest].Min = 1
 	}
 
-	arrivals, err := serve.Arrivals(cfg.Serve)
-	if err != nil {
-		return nil, err
-	}
 	// Normalize a local copy the replicas share (NewReplica normalizes
 	// again idempotently; this fixes defaults like HorizonSec up front).
 	scfg := cfg.Serve
 	if err := scfg.Normalize(); err != nil {
 		return nil, err
 	}
+	totalArrivals := scfg.Requests
+	if len(scfg.Trace) > 0 {
+		totalArrivals = len(scfg.Trace)
+	}
 
 	eng := sim.NewEngine()
 	f := &fleet{
 		classes: cls, cfg: cfg, scfg: scfg, eng: eng,
-		totalArrivals: len(arrivals),
+		totalArrivals: totalArrivals,
 		coldStarts:    make([]int, len(cls)),
 		overSince:     make([]float64, len(cls)),
 	}
@@ -421,18 +421,8 @@ func Run(classes []Class, cfg Config) (*Report, error) {
 			}
 		}
 	}
-	lastArrival := 0.0
-	for _, req := range arrivals {
-		req := req
-		if req.ArrivalSec > lastArrival {
-			lastArrival = req.ArrivalSec
-		}
-		eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) { f.dispatch(req) })
-	}
 	eng.Schedule(sim.Time(cfg.IntervalSec), f.tick)
-
-	horizon := sim.Time(lastArrival + scfg.HorizonSec)
-	if _, err := eng.RunUntil(horizon, scfg.MaxSteps); err != nil {
+	if err := serve.Drive(eng, scfg, f.dispatch); err != nil {
 		return nil, err
 	}
 	return f.report()

@@ -96,7 +96,7 @@ func splitRound(d int64, prefSec, decSec, swapSec float64) (prefN, decN, swapN i
 // attribReq is the live per-request fold state: constant-size, recycled
 // through a freelist on completion, so Attribution's memory is bounded by
 // the number of in-flight requests — not the run length — and 10⁸-request
-// epoch-sharded runs stream through it flat.
+// sketch-mode runs stream through it flat.
 type attribReq struct {
 	id       int
 	arriveN  int64
@@ -127,7 +127,7 @@ type replicaAttrib struct {
 // clear-twin cost of every round the request sat in.
 //
 // Memory is bounded by in-flight requests plus the sketches' bucket
-// counts; it works unchanged on fleet, autoscaled and epoch-sharded runs
+// counts; it works unchanged on fleet, autoscaled and sketch-mode runs
 // because it consumes only the observer stream. Like every observer it
 // must not be shared across concurrent runs.
 type Attribution struct {

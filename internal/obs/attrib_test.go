@@ -141,7 +141,6 @@ func TestAttributionFleetConservation(t *testing.T) {
 func TestAttributionSketchedEpochs(t *testing.T) {
 	be, cfg := pressureSetup()
 	cfg.QuantileMode = serve.QuantileSketch
-	cfg.EpochRequests = 4
 	rec := NewRecorder()
 	a, err := NewAttribution(0, false)
 	if err != nil {
@@ -159,7 +158,7 @@ func TestAttributionSketchedEpochs(t *testing.T) {
 		t.Fatalf("sketched phase reconciliation failed:\n%s", strings.Join(bad, "\n"))
 	}
 	if arep := a.Report(rep.Platform); len(arep.Violations) != 0 {
-		t.Fatalf("epoch-sharded conservation violations:\n%s", strings.Join(arep.Violations, "\n"))
+		t.Fatalf("sketch-mode conservation violations:\n%s", strings.Join(arep.Violations, "\n"))
 	}
 }
 

@@ -280,13 +280,10 @@ func TestTimeseriesCSVShape(t *testing.T) {
 // TestReconcileSketchedReport: the event stream reconciles against a
 // bounded-memory (sketched) report too — counters and goodput exactly,
 // quantiles bit-for-bit against sketches rebuilt from the events — and a
-// corrupted sketched report is caught. The pressure scenario crosses
-// several epoch seams, so the reconciliation also witnesses that epoch
-// handoffs lose no events.
+// corrupted sketched report is caught.
 func TestReconcileSketchedReport(t *testing.T) {
 	be, cfg := pressureSetup()
 	cfg.QuantileMode = serve.QuantileSketch
-	cfg.EpochRequests = 4
 	rec := NewRecorder()
 	cfg.Observer = rec
 	rep, err := serve.Run(be, cfg)

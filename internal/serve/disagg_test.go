@@ -89,7 +89,7 @@ func TestRunFleetIsUnifiedTopology(t *testing.T) {
 // staged copy — plus the fleet-level handoff ledger.
 func TestHandoffKVConservationAcrossRoles(t *testing.T) {
 	checked := 0
-	fleetTestHook = func(reps []*scheduler, roles []Role) {
+	drainTestHook = func(reps []*scheduler, roles []Role) {
 		for i, s := range reps {
 			if err := s.kv.CheckConservation(); err != nil {
 				t.Errorf("replica %d (%s): %v", i, roles[i], err)
@@ -97,7 +97,7 @@ func TestHandoffKVConservationAcrossRoles(t *testing.T) {
 			checked++
 		}
 	}
-	defer func() { fleetTestHook = nil }()
+	defer func() { drainTestHook = nil }()
 
 	cfg := tinyConfig(25, 40)
 	cfg.Workload.OutputLen = 16

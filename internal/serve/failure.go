@@ -9,7 +9,7 @@ package serve
 // and cGPU fleets visibly different unavailability. Crash times come from
 // a scripted plan or a per-replica Poisson process on a private RNG
 // stream: failure timing never perturbs arrival or step-noise draws, and
-// the schedule is identical whatever the worker count or epoch size.
+// the schedule is identical whatever the worker count.
 
 import (
 	"fmt"

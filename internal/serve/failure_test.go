@@ -138,20 +138,12 @@ func TestFailureCrashRequeueConservesBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals, err := genArrivals(cfg, noise.RNG())
+	src, err := newArrivalSource(cfg, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := make([]*reqState, len(arrivals))
-	lastArrival := 0.0
-	for i, req := range arrivals {
-		st := &reqState{req: req}
-		states[i] = st
-		if req.ArrivalSec > lastArrival {
-			lastArrival = req.ArrivalSec
-		}
-		s.eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) { s.submit(st) })
-	}
+	skipArrivals(cfg, noise.RNG())
+	var states []*reqState
 	// Probe conservation right after each crash (replica down, batch
 	// evicted, caches flushed) and mid-recovery.
 	for _, at := range []float64{0.21, 0.35, 0.61, 0.9, 2.5} {
@@ -161,7 +153,12 @@ func TestFailureCrashRequeueConservesBlocks(t *testing.T) {
 			}
 		})
 	}
-	if _, err := s.eng.RunUntil(sim.Time(lastArrival+cfg.HorizonSec), cfg.MaxSteps); err != nil {
+	err = drive(s.eng, src, cfg, func(req Request) {
+		st := &reqState{req: req}
+		states = append(states, st)
+		s.submit(st)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if s.err != nil {
@@ -217,8 +214,8 @@ func TestFailureRecoveryBillsTEEColdStart(t *testing.T) {
 }
 
 // TestFailureScheduleDeterministic: Poisson failure timing rides a private
-// seeded stream, so equal seeds reproduce the run exactly — monolithic or
-// epoch-sharded — and different seeds move the crash schedule.
+// seeded stream, so equal seeds reproduce the run exactly — whatever the
+// (ignored) EpochRequests — and different seeds move the crash schedule.
 func TestFailureScheduleDeterministic(t *testing.T) {
 	mk := func(seed int64, epoch int) Config {
 		cfg := tinyConfig(25, 30)
@@ -245,12 +242,12 @@ func TestFailureScheduleDeterministic(t *testing.T) {
 	if a.Crashes == 0 {
 		t.Fatal("MTBF 2s injected no crashes — the test exercises nothing")
 	}
-	sharded, err := Run(be, mk(1, 7))
+	withEpoch, err := Run(be, mk(1, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, sharded) {
-		t.Fatalf("epoch-sharded run diverged from monolithic:\n%+v\n%+v", a, sharded)
+	if !reflect.DeepEqual(a, withEpoch) {
+		t.Fatalf("setting the ignored EpochRequests changed the run:\n%+v\n%+v", a, withEpoch)
 	}
 	c, err := Run(be, mk(2, 0))
 	if err != nil {

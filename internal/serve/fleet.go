@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -140,11 +139,12 @@ func RunFleet(be Backend, cfg Config, fc FleetConfig) (*FleetReport, error) {
 	return f.Run(cfg)
 }
 
-// fleetTestHook, when non-nil, observes a fleet's schedulers after the
-// engine drains and before reports are assembled. White-box tests assert
-// cross-role invariants here (KV-block conservation over the handoff
-// edge); nil in production, so the hook costs one predictable branch.
-var fleetTestHook func(reps []*scheduler, roles []Role)
+// drainTestHook, when non-nil, observes a run's schedulers (a single
+// replica's with nil roles) after the engine drains and before reports are
+// assembled. White-box tests assert pool invariants here (KV-block
+// conservation, also over the handoff edge); nil in production, so the
+// hook costs one predictable branch.
+var drainTestHook func(reps []*scheduler, roles []Role)
 
 // buildReplica is the single scheduler-construction path for every
 // multi-replica deployment: Fleet.Run's role groups, the exported Replica
@@ -285,7 +285,7 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 			roles = append(roles, g.Role)
 		}
 	}
-	arrivals, err := genArrivals(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	src, err := newArrivalSource(cfg, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -314,8 +314,12 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 		}
 	}
 
-	dispatch := make([]int, total)
-	perReplica := make([][]*reqState, total)
+	// Each request's outcome is owned by the replica its arrival was
+	// dispatched to, wherever it finishes.
+	ledgers := make([]*ledger, total)
+	for i := range ledgers {
+		ledgers[i] = newLedger(cfg)
+	}
 	var hd *handoffDispatcher
 	if disagg {
 		hd = &handoffDispatcher{eng: eng, stage: decode}
@@ -337,33 +341,21 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 		}
 	}
 
-	lastArrival := 0.0
-	for _, req := range arrivals {
-		req := req
-		st := &reqState{req: req}
-		if req.ArrivalSec > lastArrival {
-			lastArrival = req.ArrivalSec
-		}
-		eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) {
-			j := front.pick(req)
-			i := front.idx[j]
-			dispatch[i]++
-			perReplica[i] = append(perReplica[i], st)
-			front.reps[j].submit(st)
-		})
-	}
-	horizon := sim.Time(lastArrival + cfg.HorizonSec)
-	if _, err := eng.RunUntil(horizon, cfg.MaxSteps); err != nil {
+	err = drive(eng, src, cfg, func(req Request) {
+		j := front.pick(req)
+		front.reps[j].submit(ledgers[front.idx[j]].own(req))
+	})
+	if err != nil {
 		return nil, err
 	}
-	if fleetTestHook != nil {
-		fleetTestHook(reps, roles)
+	if drainTestHook != nil {
+		drainTestHook(reps, roles)
 	}
 
 	out := &FleetReport{
 		Policy:     front.policy.String(),
 		PerReplica: make([]*Report, total),
-		Dispatch:   dispatch,
+		Dispatch:   make([]int, total),
 	}
 	if disagg {
 		out.Policy = front.policy.String() + "→" + decode.policy.String()
@@ -377,18 +369,15 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 		if s.err != nil {
 			return nil, s.err
 		}
-		if cfg.QuantileMode == QuantileSketch {
-			out.PerReplica[i] = s.reportSketched(perReplica[i])
-		} else {
-			out.PerReplica[i] = s.report(perReplica[i])
-		}
+		out.PerReplica[i] = ledgers[i].report(s)
+		out.Dispatch[i] = ledgers[i].n
 	}
 	out.Aggregate = MergeReports(offeredRate(cfg), out.PerReplica)
 	// Each replica's offered load is its dispatch share of the fleet rate,
 	// not the whole fleet rate the scheduler config carries.
-	if n := len(arrivals); n > 0 {
+	if n := src.n; n > 0 {
 		for i, r := range out.PerReplica {
-			r.OfferedRate = out.Aggregate.OfferedRate * float64(dispatch[i]) / float64(n)
+			r.OfferedRate = out.Aggregate.OfferedRate * float64(out.Dispatch[i]) / float64(n)
 		}
 	}
 	return out, nil

@@ -12,7 +12,7 @@ import (
 // collect the final report.
 type Replica struct {
 	s      *scheduler
-	states []*reqState
+	ledger *ledger
 }
 
 // NewReplica builds one replica of the backend on the given engine through
@@ -27,7 +27,7 @@ func NewReplica(be Backend, cfg Config, eng *sim.Engine, seed int64) (*Replica, 
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{s: s}, nil
+	return &Replica{s: s, ledger: newLedger(cfg)}, nil
 }
 
 // SetIndex labels this replica's observer events and gauge samples with
@@ -39,9 +39,7 @@ func (r *Replica) SetIndex(i int) { r.s.replica = i }
 // engine event at the request's arrival instant — the scheduler reads the
 // engine clock for admission timestamps.
 func (r *Replica) Submit(req Request) {
-	st := &reqState{req: req}
-	r.states = append(r.states, st)
-	r.s.submit(st)
+	r.s.submit(r.ledger.own(req))
 }
 
 // Outstanding is the replica's current load: queued plus running requests.
@@ -58,7 +56,7 @@ func (r *Replica) Down() bool { return r.s.down }
 func (r *Replica) Sheds() int { return r.s.sheds }
 
 // Submitted counts requests ever dispatched to this replica.
-func (r *Replica) Submitted() int { return len(r.states) }
+func (r *Replica) Submitted() int { return r.ledger.n }
 
 // Err reports a costing failure that halted the replica's loop (a backend
 // misconfiguration); the run's results are invalid if non-nil.
@@ -69,9 +67,4 @@ func (r *Replica) Err() error { return r.s.err }
 // Config.QuantileMode == QuantileSketch the report carries quantile
 // sketches instead of per-request samples, so fleet aggregation stays
 // bounded-memory however many requests the replica served.
-func (r *Replica) Report() *Report {
-	if r.s.cfg.QuantileMode == QuantileSketch {
-		return r.s.reportSketched(r.states)
-	}
-	return r.s.report(r.states)
-}
+func (r *Replica) Report() *Report { return r.ledger.report(r.s) }

@@ -59,6 +59,11 @@ type reqState struct {
 	// consumed from the per-request budget.
 	deadline float64
 	attempt  int
+	// acc, in sketch mode, is the outcome ledger of the replica that owns
+	// the request (the one its arrival was dispatched to): the request
+	// folds into it when it finishes or drops, on whichever replica that
+	// happens. Nil in exact mode, where the owner retains the state.
+	acc *streamAccum
 }
 
 // ctxTokens is the KV-cache footprint the request needs for its next decode
@@ -126,8 +131,10 @@ type scheduler struct {
 	idBuf    []int
 	finishFn func(*sim.Engine) // cached closure; one alloc per scheduler, not per round
 
-	admitCount  int
-	admitOrder  []int // request IDs in admission order (test audit)
+	admitCount int
+	// admitOrder records request IDs in first-admission order when non-nil
+	// (RunAudited's exact-mode audit; nil everywhere else).
+	admitOrder  []int
 	preemptions int
 	// Swap-to-host counters: cumulative transfers over the run, plus the
 	// current iteration's transfer token accumulators (reset each round,
@@ -167,13 +174,6 @@ type scheduler struct {
 	roundClearPrefill float64
 	roundClearDecode  float64
 	roundClearSwap    float64
-	// sink, when non-nil, streams completed/dropped outcomes into
-	// bounded-memory sketches as they happen (QuantileSketch mode): the
-	// run retains no per-request state, so the report is assembled from
-	// the sink instead of a states slice. noAudit additionally disables
-	// the admit-order audit trail, whose memory is linear in admissions.
-	sink    *streamAccum
-	noAudit bool
 	// Failure/overload machinery (see failure.go and admission.go). All of
 	// it stays zero on the default path: failEnabled guards every crash
 	// hook, down parks the iteration loop during recovery, abortRound
@@ -310,177 +310,6 @@ func (s *scheduler) outstanding() int { return s.queue.Len() + len(s.running) }
 func Run(be Backend, cfg Config) (*Report, error) {
 	rep, _, err := RunAudited(be, cfg)
 	return rep, err
-}
-
-// genArrivals returns the offered load: the explicit trace when given, a
-// workload scenario's synthesis when configured, otherwise Poisson arrivals
-// with jittered lengths drawn from rng (so a seed fixes the whole run).
-// With PrefixGroups set, synthetic requests are assigned to a random prefix
-// group each and share the leading PrefixFrac×InputLen tokens within their
-// group (RAG-style workloads: common system prompt and document set,
-// distinct questions).
-func genArrivals(cfg Config, rng *rand.Rand) ([]Request, error) {
-	if len(cfg.Trace) == 0 && cfg.Scenario != nil {
-		return scenarioArrivals(cfg, rng)
-	}
-	if len(cfg.Trace) > 0 {
-		if err := validateTrace(cfg); err != nil {
-			return nil, err
-		}
-		return append([]Request(nil), cfg.Trace...), nil
-	}
-	g := newPoissonGen(cfg, rng)
-	out := make([]Request, cfg.Requests)
-	for i := range out {
-		out[i], _ = g.next()
-	}
-	return out, nil
-}
-
-// validateTrace rejects malformed explicit traces (the same checks the
-// batch path always ran, shared with the streaming arrival source).
-func validateTrace(cfg Config) error {
-	seen := make(map[int]bool, len(cfg.Trace))
-	for _, r := range cfg.Trace {
-		if r.InputLen <= 0 || r.OutputLen <= 0 || r.ArrivalSec < 0 {
-			return fmt.Errorf("serve: invalid trace request %+v", r)
-		}
-		if r.PrefixLen < 0 || r.PrefixLen > r.InputLen {
-			return fmt.Errorf("serve: request %d prefix %d outside prompt %d", r.ID, r.PrefixLen, r.InputLen)
-		}
-		if sum := r.InputLen + r.OutputLen; sum > cfg.Workload.Model.ContextLen {
-			return fmt.Errorf("serve: request %d length %d exceeds %s context %d",
-				r.ID, sum, cfg.Workload.Model.Name, cfg.Workload.Model.ContextLen)
-		}
-		if seen[r.ID] {
-			return fmt.Errorf("serve: duplicate request ID %d in trace", r.ID)
-		}
-		seen[r.ID] = true
-	}
-	return nil
-}
-
-// poissonGen synthesizes the Poisson arrival stream one request at a
-// time. It draws from rng in exactly the order the historical batch loop
-// did (inter-arrival, then prefix group and suffix jitter or input
-// jitter, then output jitter), so draining it reproduces genArrivals'
-// output bit for bit — the property the epoch-sharded runner relies on.
-type poissonGen struct {
-	cfg       Config
-	rng       *rand.Rand
-	prefixLen int
-	t         float64
-	i         int
-}
-
-func newPoissonGen(cfg Config, rng *rand.Rand) *poissonGen {
-	prefixLen := 0
-	if cfg.PrefixGroups > 0 {
-		prefixLen = int(math.Round(cfg.PrefixFrac * float64(cfg.Workload.InputLen)))
-		if prefixLen >= cfg.Workload.InputLen {
-			prefixLen = cfg.Workload.InputLen - 1
-		}
-	}
-	return &poissonGen{cfg: cfg, rng: rng, prefixLen: prefixLen}
-}
-
-func (g *poissonGen) jitter(mean int) int {
-	if g.cfg.LengthJitter <= 0 || mean <= 0 {
-		return mean
-	}
-	f := 1 + g.cfg.LengthJitter*(2*g.rng.Float64()-1)
-	n := int(math.Round(float64(mean) * f))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// next returns the following arrival, or false once cfg.Requests have
-// been drawn.
-func (g *poissonGen) next() (Request, bool) {
-	if g.i >= g.cfg.Requests {
-		return Request{}, false
-	}
-	g.t += g.rng.ExpFloat64() / g.cfg.Rate
-	var inLen int
-	r := Request{ID: g.i, ArrivalSec: g.t}
-	if g.prefixLen > 0 {
-		// The shared prefix has one fixed length per group; only the
-		// request-specific suffix jitters. Group membership is drawn at
-		// random — deterministic round-robin assignment would alias with
-		// round-robin dispatch in fleet runs and fake prefix affinity.
-		r.PrefixID = g.rng.Intn(g.cfg.PrefixGroups) + 1
-		r.PrefixLen = g.prefixLen
-		suffix := g.jitter(g.cfg.Workload.InputLen - g.prefixLen)
-		if suffix < 1 {
-			suffix = 1
-		}
-		inLen = g.prefixLen + suffix
-	} else {
-		inLen = g.jitter(g.cfg.Workload.InputLen)
-	}
-	outLen := g.jitter(g.cfg.Workload.OutputLen)
-	if outLen < 2 {
-		outLen = 2 // keep TPOT defined
-	}
-	// Upward jitter on means near the context limit must not overflow it.
-	r.InputLen, r.OutputLen = inLen, outLen
-	g.i++
-	return clampToContext(r, g.cfg.Workload.Model.ContextLen), true
-}
-
-// clampToContext enforces the model context window on a synthesized
-// request: shorten the prompt first, then the generation, and never let a
-// shared prefix cover (or outlive) the whole prompt.
-func clampToContext(r Request, ctx int) Request {
-	if over := r.InputLen + r.OutputLen - ctx; over > 0 {
-		r.InputLen -= over
-		if r.InputLen < 1 {
-			r.InputLen = 1
-		}
-		if r.InputLen+r.OutputLen > ctx {
-			r.OutputLen = ctx - r.InputLen
-		}
-	}
-	if r.PrefixLen >= r.InputLen {
-		r.PrefixLen = r.InputLen - 1
-	}
-	if r.PrefixLen <= 0 {
-		r.PrefixID, r.PrefixLen = 0, 0
-	}
-	return r
-}
-
-// scenarioArrivals adopts a workload scenario's request stream: shapes and
-// times come from the scenario; the context window is enforced by the same
-// clamp the synthetic path uses.
-func scenarioArrivals(cfg Config, rng *rand.Rand) ([]Request, error) {
-	reqs, err := cfg.Scenario.Generate(cfg.Requests, rng)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Request, len(reqs))
-	for i, wr := range reqs {
-		out[i] = clampToContext(Request{
-			ID: i, ArrivalSec: wr.ArrivalSec,
-			InputLen: wr.InputLen, OutputLen: wr.OutputLen,
-			PrefixID: wr.PrefixID, PrefixLen: wr.PrefixLen,
-			Class: classOfShape(wr.Shape),
-		}, cfg.Workload.Model.ContextLen)
-	}
-	return out, nil
-}
-
-// Arrivals synthesizes the offered load a configuration describes — trace,
-// scenario, or Poisson — exactly as Run/RunFleet would see it. External
-// control loops (internal/autoscale) use it to dispatch the same stream
-// across a fleet they manage themselves.
-func Arrivals(cfg Config) ([]Request, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	return genArrivals(cfg, rand.New(rand.NewSource(cfg.Seed)))
 }
 
 // prefixHash derives the content-identity hash of a request's shared
@@ -663,7 +492,7 @@ func (s *scheduler) iterate() {
 			head.admittedAt = now
 			head.admitSeq = s.admitCount
 			s.admitCount++
-			if !s.noAudit {
+			if s.admitOrder != nil {
 				s.admitOrder = append(s.admitOrder, head.req.ID)
 			}
 		}
@@ -1007,8 +836,8 @@ func (s *scheduler) finishIteration() {
 			s.kv.Release(r.req.ID)
 			r.phase = phaseFinished
 			r.finishedAt = now
-			if s.sink != nil {
-				s.sink.observe(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+			if r.acc != nil {
+				r.acc.observe(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
 			}
 			for i, cand := range s.running {
 				if cand == r {
@@ -1208,7 +1037,8 @@ func newNoise(be Backend, seed int64) *sim.Noise {
 }
 
 // RunAudited is Run plus the FIFO admission audit trail: the order in
-// which requests were first admitted, for scheduling-invariant tests.
+// which requests were first admitted, for scheduling-invariant tests. A
+// sketch-mode run retains no per-request state and returns a nil audit.
 func RunAudited(be Backend, cfg Config) (*Report, AdmitOrder, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, nil, err
@@ -1216,39 +1046,40 @@ func RunAudited(be Backend, cfg Config) (*Report, AdmitOrder, error) {
 	if !be.IsGPU && be.CPU.Sockets <= 0 {
 		be.CPU.Sockets = 1
 	}
-	if cfg.QuantileMode == QuantileSketch || cfg.EpochRequests > 0 {
-		return runSharded(be, cfg)
-	}
 	noise := newNoise(be, cfg.Seed)
 	s, err := newScheduler(be, cfg, sim.NewEngine(), noise)
 	if err != nil {
 		return nil, nil, err
 	}
-	arrivals, err := genArrivals(cfg, noise.RNG())
+	src, err := newArrivalSource(cfg, cfg.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.admitOrder = make([]int, 0, len(arrivals))
-	states := make([]*reqState, len(arrivals))
-	stateBlock := make([]reqState, len(arrivals)) // one allocation, not one per request
-	lastArrival := 0.0
-	for i, req := range arrivals {
-		st := &stateBlock[i]
-		st.req = req
-		states[i] = st
-		if req.ArrivalSec > lastArrival {
-			lastArrival = req.ArrivalSec
-		}
-		s.eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) {
-			s.submit(st)
-		})
+	// The arrivals' own stream starts where the noise stream does; skipping
+	// their draws there keeps step noise on the sample path it has always
+	// had, drawn after the whole offered load.
+	skipArrivals(cfg, noise.RNG())
+	l := newLedger(cfg)
+	if l.acc == nil {
+		s.admitOrder = make([]int, 0, src.n)
+		l.states = make([]*reqState, 0, src.n)
 	}
-	horizon := sim.Time(lastArrival + cfg.HorizonSec)
-	if _, err := s.eng.RunUntil(horizon, cfg.MaxSteps); err != nil {
+	if err := drive(s.eng, src, cfg, func(req Request) { s.submit(l.own(req)) }); err != nil {
 		return nil, nil, err
+	}
+	if drainTestHook != nil {
+		drainTestHook([]*scheduler{s}, nil)
 	}
 	if s.err != nil {
 		return nil, nil, s.err
 	}
-	return s.report(states), AdmitOrder(s.admitOrder), nil
+	if src.order != nil && l.acc == nil {
+		// Report an unsorted trace's requests in its own order.
+		listed := make([]*reqState, len(l.states))
+		for k, st := range l.states {
+			listed[src.order[k]] = st
+		}
+		l.states = listed
+	}
+	return l.report(s), AdmitOrder(s.admitOrder), nil
 }

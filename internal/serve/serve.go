@@ -31,10 +31,11 @@ const (
 	// historical behavior, with memory linear in the request count.
 	QuantileExact QuantileMode = iota
 	// QuantileSketch streams metrics into DDSketch-style summaries
-	// (stats.Sketch) with a documented relative-error bound and memory
-	// independent of the request count, and runs the simulation in arrival
-	// epochs so 10⁸-request runs complete with a flat heap. Reports carry
-	// no per-request slice; quantiles come from the sketches.
+	// (stats.Sketch) with a documented relative-error bound and retains no
+	// per-request state, so memory is independent of the request count and
+	// 10⁸-request runs complete with a flat heap. Reports carry no
+	// per-request slice; quantiles come from the sketches. The simulated
+	// run — every event, counter and rate — is the exact mode's.
 	QuantileSketch
 )
 
@@ -60,9 +61,10 @@ func ParseQuantileMode(s string) (QuantileMode, error) {
 	return 0, fmt.Errorf("serve: unknown quantile mode %q (exact|sketch)", s)
 }
 
-// DefaultEpochRequests is the arrival-epoch size sketch-mode sharded runs
-// use unless configured: large enough that epoch handoff overhead
-// vanishes, small enough that per-epoch arrival buffers stay in cache.
+// DefaultEpochRequests was the arrival-epoch size of sketch-mode runs.
+//
+// Deprecated: runs no longer shard arrivals into epochs (every run keeps
+// one arrival pending; see Config.EpochRequests), so nothing uses it.
 const DefaultEpochRequests = 65536
 
 // Request is one arrival in the offered load.
@@ -262,19 +264,15 @@ type Config struct {
 	MaxSteps int64
 	// QuantileMode selects the latency summary: QuantileExact (default)
 	// retains per-request samples and is bit-identical to prior behavior;
-	// QuantileSketch streams them into bounded-memory sketches and shards
-	// the simulation into arrival epochs (see EpochRequests).
+	// QuantileSketch streams them into bounded-memory sketches.
 	QuantileMode QuantileMode
 	// SketchAlpha is the sketch's relative-error bound in (0, 1); 0 means
 	// stats.DefaultSketchAlpha (1%). Ignored under QuantileExact.
 	SketchAlpha float64
-	// EpochRequests is the arrival-epoch size for sharded simulation: the
-	// run schedules this many arrivals at a time, drains the engine to the
-	// epoch's last arrival, and hands the warm scheduler/KV state to the
-	// next epoch. 0 means DefaultEpochRequests under QuantileSketch and
-	// monolithic execution under QuantileExact; setting it explicitly
-	// under QuantileExact forces the sharded path (whose output is
-	// byte-identical to monolithic — tests pin this).
+	// EpochRequests is accepted and ignored (negative values are still
+	// rejected). It sized the arrival epochs runs were once sharded into;
+	// every run now pulls its arrivals one at a time with a single arrival
+	// pending, whatever the quantile mode.
 	EpochRequests int
 	// Observer, when non-nil, receives the per-request lifecycle event
 	// stream and per-round gauge samples (see Observer). Nil — the default —
@@ -472,9 +470,6 @@ func (c *Config) normalize() error {
 	}
 	if c.EpochRequests < 0 {
 		return fmt.Errorf("serve: epoch size %d is negative", c.EpochRequests)
-	}
-	if c.QuantileMode == QuantileSketch && c.EpochRequests == 0 {
-		c.EpochRequests = DefaultEpochRequests
 	}
 	// One-release migration: the deprecated flat fields fill their Faults
 	// counterparts wherever the sub-struct left the knob zero, then the

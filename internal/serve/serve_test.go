@@ -561,19 +561,10 @@ func TestReplicaMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals, err := Arrivals(cfg)
-	if err != nil {
+	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	last := 0.0
-	for _, req := range arrivals {
-		req := req
-		if req.ArrivalSec > last {
-			last = req.ArrivalSec
-		}
-		eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) { rep.Submit(req) })
-	}
-	if _, err := eng.RunUntil(sim.Time(last+3600), 4_000_000); err != nil {
+	if err := Drive(eng, cfg, rep.Submit); err != nil {
 		t.Fatal(err)
 	}
 	if err := rep.Err(); err != nil {
@@ -584,7 +575,7 @@ func TestReplicaMatchesRun(t *testing.T) {
 		t.Errorf("replica completed %d/%d tokens vs Run %d/%d",
 			got.Completed, got.TotalTokens, want.Completed, want.TotalTokens)
 	}
-	if rep.Submitted() != len(arrivals) || rep.Outstanding() != 0 {
+	if rep.Submitted() != cfg.Requests || rep.Outstanding() != 0 {
 		t.Errorf("submitted %d, outstanding %d", rep.Submitted(), rep.Outstanding())
 	}
 }

@@ -10,107 +10,15 @@ import (
 	"testing"
 	"time"
 
-	"cllm/internal/sim"
 	"cllm/internal/stats"
 	"cllm/internal/tee"
 	"cllm/internal/workload"
 )
 
-// runExactSharded runs cfg through the epoch-sharded exact path.
-func runExactSharded(t *testing.T, cfg Config, epoch int) (*Report, AdmitOrder) {
-	t.Helper()
-	cfg.EpochRequests = epoch
-	rep, order, err := RunAudited(cpuBackend(tee.TDX()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, order
-}
-
-// TestShardedExactGolden pins the tentpole's safety net: the epoch-sharded
-// scheduler path in exact mode is byte-identical to the monolithic one —
-// same report (every counter, float and per-request metric) and the same
-// admission order — whatever the epoch size, for Poisson, trace and
-// scenario loads.
-func TestShardedExactGolden(t *testing.T) {
-	trace := []Request{
-		{ID: 0, ArrivalSec: 0, InputLen: 64, OutputLen: 8},
-		{ID: 1, ArrivalSec: 0.05, InputLen: 96, OutputLen: 6},
-		{ID: 2, ArrivalSec: 0.05, InputLen: 32, OutputLen: 12}, // tie with ID 1
-		{ID: 3, ArrivalSec: 0.2, InputLen: 64, OutputLen: 8},
-		{ID: 4, ArrivalSec: 0.9, InputLen: 128, OutputLen: 4},
-		{ID: 5, ArrivalSec: 1.4, InputLen: 64, OutputLen: 8},
-		{ID: 6, ArrivalSec: 1.4, InputLen: 64, OutputLen: 8}, // tie at an epoch seam (epoch=3)
-	}
-	diurnal, err := workload.ParseScenario("diurnal", 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"poisson", tinyConfig(25, 40)},
-		{"poisson-overload", tinyConfig(400, 60)},
-		{"trace", func() Config {
-			c := tinyConfig(1, 0)
-			c.Trace = trace
-			return c
-		}()},
-		{"scenario", func() Config {
-			c := tinyConfig(25, 40)
-			c.Scenario = &diurnal
-			return c
-		}()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			wantRep, wantOrder, err := RunAudited(cpuBackend(tee.TDX()), tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, epoch := range []int{1, 3, 17, 100000} {
-				rep, order := runExactSharded(t, tc.cfg, epoch)
-				if !reflect.DeepEqual(rep, wantRep) {
-					t.Fatalf("epoch %d: sharded report differs from monolithic\n got %+v\nwant %+v", epoch, rep, wantRep)
-				}
-				if !reflect.DeepEqual(order, wantOrder) {
-					t.Fatalf("epoch %d: admission order differs: %v vs %v", epoch, order, wantOrder)
-				}
-			}
-		})
-	}
-}
-
-// TestShardedRejectsUnsortedTrace: epoch sharding drains the engine past
-// each batch's last arrival, so an out-of-order trace cannot be replayed
-// faithfully — it must be an error, not a silent reordering. The
-// monolithic path still accepts it.
-func TestShardedRejectsUnsortedTrace(t *testing.T) {
-	cfg := tinyConfig(1, 0)
-	cfg.Trace = []Request{
-		{ID: 0, ArrivalSec: 1.0, InputLen: 64, OutputLen: 8},
-		{ID: 1, ArrivalSec: 0.5, InputLen: 64, OutputLen: 8},
-	}
-	if _, _, err := RunAudited(cpuBackend(tee.TDX()), cfg); err != nil {
-		t.Fatalf("monolithic run rejected unsorted trace: %v", err)
-	}
-	cfg.EpochRequests = 1
-	if _, _, err := RunAudited(cpuBackend(tee.TDX()), cfg); err == nil {
-		t.Fatal("sharded exact run accepted an unsorted trace")
-	}
-	cfg.EpochRequests = 0
-	cfg.QuantileMode = QuantileSketch
-	if _, _, err := RunAudited(cpuBackend(tee.TDX()), cfg); err == nil {
-		t.Fatal("sketch run accepted an unsorted trace")
-	}
-}
-
-// runSketch runs cfg in sketch mode with the given epoch size.
-func runSketch(t *testing.T, cfg Config, epoch int) *Report {
+// runSketch runs cfg in sketch mode.
+func runSketch(t *testing.T, cfg Config) *Report {
 	t.Helper()
 	cfg.QuantileMode = QuantileSketch
-	cfg.EpochRequests = epoch
 	rep, order, err := RunAudited(cpuBackend(tee.TDX()), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,20 +35,60 @@ func runSketch(t *testing.T, cfg Config, epoch int) *Report {
 	return rep
 }
 
-// stripSketches clears the raw sketch pointers so reports can be
-// DeepEqual-compared across epoch sizes: merging per-epoch sketches
-// regroups their float sums (quantiles and counts are integer-derived and
-// stay bit-identical; the report's Mean fields come from epoch-independent
-// running sums, so they must match exactly too).
+// TestUnsortedTraceAccepted: every runner accepts a trace listed out of
+// arrival order in both quantile modes and replays it in stable arrival
+// order. The exact single-replica run reproduces the pinned output of the
+// runner that scheduled every arrival up front, and the sketch run's
+// counters equal the exact run's.
+func TestUnsortedTraceAccepted(t *testing.T) {
+	be := cpuBackend(tee.TDX())
+	cfg := tinyConfig(1, 0)
+	cfg.Trace = unsortedTrace()
+	exact, order, err := RunAudited(be, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := outputDigest(struct {
+		Report *Report
+		Order  AdmitOrder
+	}{exact, order})
+	if want := digestPins["single/exact/trace-unsorted"]; got != want {
+		t.Fatalf("exact run digest %s, want pinned %s", got, want)
+	}
+	for i, m := range exact.Requests {
+		if m.ID != cfg.Trace[i].ID {
+			t.Fatalf("request %d reported as ID %d; exact reports keep the trace's own order", i, m.ID)
+		}
+	}
+	sk := runSketch(t, cfg)
+	if sk.Completed != exact.Completed || sk.Dropped != exact.Dropped || sk.Unfinished != exact.Unfinished ||
+		sk.TotalTokens != exact.TotalTokens || sk.MakespanSec != exact.MakespanSec ||
+		sk.GoodRequests != exact.GoodRequests || sk.GoodOutputTokens != exact.GoodOutputTokens ||
+		sk.OfferedRate != exact.OfferedRate || sk.PeakKVBlocksInUse != exact.PeakKVBlocksInUse {
+		t.Fatalf("sketch counters differ from exact:\n got %+v\nwant %+v", stripSketches(sk), exact)
+	}
+	for _, mode := range []QuantileMode{QuantileExact, QuantileSketch} {
+		c := cfg
+		c.QuantileMode = mode
+		fr, err := RunFleet(be, c, FleetConfig{Replicas: 2, Policy: LeastLoaded})
+		if err != nil {
+			t.Fatalf("%v fleet rejected an unsorted trace: %v", mode, err)
+		}
+		if fr.Aggregate.Completed != len(cfg.Trace) {
+			t.Fatalf("%v fleet completed %d of %d", mode, fr.Aggregate.Completed, len(cfg.Trace))
+		}
+	}
+}
+
+// stripSketches clears the raw sketch pointers so reports print readably.
 func stripSketches(rep *Report) *Report {
 	c := *rep
 	c.TTFTSketch, c.TPOTSketch, c.LatencySketch = nil, nil, nil
 	return &c
 }
 
-// TestSketchEpochInvariance: the sketched report — every counter, rate,
-// quantile and mean — is invariant to the epoch size, and the underlying
-// sketches agree bucket-for-bucket on quantiles, count and extrema.
+// TestSketchEpochInvariance: EpochRequests is accepted and ignored — the
+// sketched report, sketches included, is the same whatever it is set to.
 func TestSketchEpochInvariance(t *testing.T) {
 	diurnal, err := workload.ParseScenario("diurnal", 30)
 	if err != nil {
@@ -156,29 +104,13 @@ func TestSketchEpochInvariance(t *testing.T) {
 		{"scenario", scenarioCfg},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := runSketch(t, tc.cfg, 7)
+			want := runSketch(t, tc.cfg)
 			for _, epoch := range []int{1, 64, 1 << 20} {
-				got := runSketch(t, tc.cfg, epoch)
-				if !reflect.DeepEqual(stripSketches(got), stripSketches(want)) {
-					t.Fatalf("epoch %d vs 7: sketched reports differ\n got %+v\nwant %+v",
+				c := tc.cfg
+				c.EpochRequests = epoch
+				if got := runSketch(t, c); !reflect.DeepEqual(got, want) {
+					t.Fatalf("EpochRequests %d changed the sketched report\n got %+v\nwant %+v",
 						epoch, stripSketches(got), stripSketches(want))
-				}
-				for _, sk := range []struct {
-					name     string
-					got, ref *stats.Sketch
-				}{
-					{"TTFT", got.TTFTSketch, want.TTFTSketch},
-					{"TPOT", got.TPOTSketch, want.TPOTSketch},
-					{"latency", got.LatencySketch, want.LatencySketch},
-				} {
-					if sk.got.Count() != sk.ref.Count() || sk.got.Min() != sk.ref.Min() || sk.got.Max() != sk.ref.Max() {
-						t.Fatalf("epoch %d: %s sketch count/min/max differ", epoch, sk.name)
-					}
-					for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-						if a, b := sk.got.Quantile(q), sk.ref.Quantile(q); a != b {
-							t.Fatalf("epoch %d: %s Quantile(%g) = %g vs %g", epoch, sk.name, q, a, b)
-						}
-					}
 				}
 			}
 		})
@@ -192,27 +124,31 @@ func exactRankOf(sorted []float64, q float64) float64 {
 }
 
 // TestSketchMatchesExactRun is the cross-mode equivalence check: on the
-// same Poisson load, the sketch run's event stream — and with it every
+// same Poisson or scenario load, the sketch run's event stream — and with it every
 // counter, the makespan and throughput — is byte-identical to the exact
 // run's, and the sketched quantiles land within the documented relative
-// error bound of the exact run's order statistics. This is also the
-// guard against the latent merge drift the exact path allowed: sketched
-// per-epoch merges must reproduce the exact union, not approximately
-// re-aggregate it.
+// error bound of the exact run's order statistics.
 func TestSketchMatchesExactRun(t *testing.T) {
+	diurnal, err := workload.ParseScenario("diurnal+chat", 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarioCfg := tinyConfig(0, 1000)
+	scenarioCfg.Scenario = &diurnal
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"underload", tinyConfig(20, 2000)},
 		{"overload-drops", tinyConfig(500, 800)},
+		{"scenario", scenarioCfg},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			exact, _, err := RunAudited(cpuBackend(tee.TDX()), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sk := runSketch(t, tc.cfg, 64)
+			sk := runSketch(t, tc.cfg)
 
 			if sk.Completed != exact.Completed || sk.Dropped != exact.Dropped ||
 				sk.Unfinished != exact.Unfinished || sk.Preemptions != exact.Preemptions {
@@ -279,11 +215,11 @@ func TestSketchMatchesExactRun(t *testing.T) {
 	}
 }
 
-// TestStreamedConservation drives the streamed runner directly and checks
-// the physical conservation laws the sharded handoff must preserve: the
-// request partition sums to the submissions, every KV block is accounted
-// for (refcount conservation via CheckConservation), and nothing leaks
-// across epoch boundaries.
+// TestStreamedConservation checks the physical conservation laws of a
+// sketch-mode run, where no request state outlives its request: the
+// request partition sums to the submissions, and every KV block is
+// accounted for (refcount conservation via CheckConservation) once the
+// engine drains.
 func TestStreamedConservation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -291,30 +227,26 @@ func TestStreamedConservation(t *testing.T) {
 		n    int
 	}{
 		{"underload", 30, 400},
-		{"overload", 600, 500}, // drops + preemptions cross epoch seams
+		{"overload", 600, 500}, // drops and preemptions
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tinyConfig(tc.rate, tc.n)
-			cfg.QuantileMode = QuantileSketch
-			if err := cfg.normalize(); err != nil {
-				t.Fatal(err)
+			checked := 0
+			drainTestHook = func(reps []*scheduler, _ []Role) {
+				for _, s := range reps {
+					if err := s.kv.CheckConservation(); err != nil {
+						t.Errorf("KV refcount conservation broken: %v", err)
+					}
+					checked++
+				}
 			}
-			be := cpuBackend(tee.TDX())
-			noise := newNoise(be, cfg.Seed)
-			s, err := newScheduler(be, cfg, sim.NewEngine(), noise)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, _, err := runStreamed(s, cfg, noise, 32)
-			if err != nil {
-				t.Fatal(err)
+			defer func() { drainTestHook = nil }()
+			rep := runSketch(t, tinyConfig(tc.rate, tc.n))
+			if checked != 1 {
+				t.Fatalf("conservation hook saw %d schedulers, want 1", checked)
 			}
 			if got := rep.Completed + rep.Dropped + rep.Unfinished; got != tc.n {
 				t.Fatalf("request partition %d+%d+%d = %d, want %d submissions",
 					rep.Completed, rep.Dropped, rep.Unfinished, got, tc.n)
-			}
-			if err := s.kv.CheckConservation(); err != nil {
-				t.Fatalf("KV refcount conservation broken after epoch handoffs: %v", err)
 			}
 			if rep.Unfinished == 0 && rep.KVBlocksInUseAtEnd != 0 {
 				t.Fatalf("leaked %d KV blocks with no unfinished requests", rep.KVBlocksInUseAtEnd)
@@ -388,6 +320,33 @@ func TestFleetSketchMatchesExact(t *testing.T) {
 	}
 	if want := int64(len(exact.PerReplica[0].Requests) + len(exact.PerReplica[1].Requests)); mixed.LatencySketch.Count() != want {
 		t.Fatalf("mixed merge latency sketch holds %d samples, want %d", mixed.LatencySketch.Count(), want)
+	}
+}
+
+// TestOnlyRunAuditedKeepsAdmissionAudit: the admission audit trail grows
+// with every admission, so only an exact-mode RunAudited records it —
+// fleet and sketch-mode replicas keep none.
+func TestOnlyRunAuditedKeepsAdmissionAudit(t *testing.T) {
+	var audits []int
+	drainTestHook = func(reps []*scheduler, _ []Role) {
+		for _, s := range reps {
+			audits = append(audits, len(s.admitOrder))
+		}
+	}
+	defer func() { drainTestHook = nil }()
+	cfg := tinyConfig(60, 50)
+	if _, _, err := RunAudited(cpuBackend(tee.TDX()), cfg); err != nil {
+		t.Fatal(err)
+	}
+	runSketch(t, cfg)
+	for _, mode := range []QuantileMode{QuantileExact, QuantileSketch} {
+		cfg.QuantileMode = mode
+		if _, err := RunFleet(cpuBackend(tee.TDX()), cfg, FleetConfig{Replicas: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []int{50, 0, 0, 0, 0, 0}; !reflect.DeepEqual(audits, want) {
+		t.Fatalf("audit lengths %v, want %v", audits, want)
 	}
 }
 

@@ -41,12 +41,16 @@ type Engine struct {
 	now    Time
 	events []Event // 4-ary min-heap ordered by Event.before
 	nextID int64
+	// arrivalID sequences the arrival lane (ScheduleArrival). It counts up
+	// from math.MinInt64, so every arrival's seq sorts below every seq
+	// Schedule/ScheduleAt hand out.
+	arrivalID int64
 	// Steps counts processed events, a cheap progress/liveness metric.
 	Steps int64
 }
 
 // NewEngine returns an engine at time zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{arrivalID: math.MinInt64} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -61,17 +65,26 @@ func (e *Engine) Schedule(delay Time, fn func(*Engine)) {
 }
 
 // ScheduleAt queues fn at the absolute instant at, clamped to the current
-// time when it lies in the past. Epoch-sharded runs use it to place
-// arrivals scheduled mid-run at their exact recorded times: Schedule would
-// compute now + (at − now), which is not bit-identical to at once the
-// clock has advanced, and bit-stable event times are what keeps sharded
-// runs byte-identical to monolithic ones.
+// time when it lies in the past. Unlike Schedule, which computes
+// now + (at − now), it places the event at exactly at.
 func (e *Engine) ScheduleAt(at Time, fn func(*Engine)) {
 	if at < e.now {
 		at = e.now
 	}
 	e.nextID++
 	e.push(Event{At: at, Fn: fn, seq: e.nextID})
+}
+
+// ScheduleArrival queues fn at the absolute instant at on the arrival
+// lane: at equal instants it runs before every Schedule/ScheduleAt event,
+// whenever either was scheduled, and arrivals run in call order among
+// themselves. That is the order a run gets by scheduling all its arrivals
+// up front, before any other event, so a driver that keeps only the next
+// arrival pending (each arrival scheduling its successor) replays the
+// up-front run exactly. at must not lie in the past.
+func (e *Engine) ScheduleArrival(at Time, fn func(*Engine)) {
+	e.arrivalID++
+	e.push(Event{At: at, Fn: fn, seq: e.arrivalID})
 }
 
 // push appends the event and sifts it up the 4-ary heap.

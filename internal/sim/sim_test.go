@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cllm/internal/stats"
@@ -278,5 +281,123 @@ func TestEngineScheduleAt(t *testing.T) {
 	}
 	if fired[1] != target {
 		t.Errorf("event fired at %v, want exactly %v", fired[1], target)
+	}
+}
+
+// TestScheduleArrivalRunsFirstAtTies: an arrival runs before every
+// same-instant Schedule/ScheduleAt event, even one scheduled earlier.
+func TestScheduleArrivalRunsFirstAtTies(t *testing.T) {
+	eng := NewEngine()
+	var order []string
+	rec := func(s string) func(*Engine) { return func(*Engine) { order = append(order, s) } }
+	eng.Schedule(1, rec("schedule"))
+	eng.ScheduleAt(1, rec("schedule-at"))
+	eng.Schedule(0.5, func(e *Engine) {
+		e.Schedule(0.5, rec("mid-run"))
+		e.ScheduleArrival(1, rec("arrival"))
+	})
+	if err := eng.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"arrival", "schedule", "schedule-at", "mid-run"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+}
+
+// TestScheduleArrivalKeepsCallOrder: same-instant arrivals run in the
+// order they were scheduled, including one scheduled by another arrival.
+func TestScheduleArrivalKeepsCallOrder(t *testing.T) {
+	eng := NewEngine()
+	var order []int
+	for i := 0; i < 4; i++ {
+		eng.ScheduleArrival(2, func(e *Engine) {
+			order = append(order, i)
+			if i == 0 {
+				e.ScheduleArrival(2, func(*Engine) { order = append(order, 4) })
+			}
+		})
+	}
+	if err := eng.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+}
+
+// TestLazyArrivalsMatchEager is the property the serving driver rests on:
+// feeding N arrivals all up front with Schedule (before any other event)
+// and feeding them lazily on the arrival lane (each arrival scheduling its
+// successor before doing its work) pop every event in the same order,
+// whatever other events the arrivals and their descendants schedule.
+func TestLazyArrivalsMatchEager(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		// Times on a 1/8 s grid are exact in float64, so ties are real.
+		times := make([]Time, n)
+		for i := range times {
+			times[i] = Time(rng.Intn(24)) / 8
+		}
+		slices.Sort(times)
+		upFront := rng.Intn(6) // other events scheduled before the run
+
+		run := func(lazy bool) []string {
+			eng := NewEngine()
+			var log []string
+			// spawn is an event whose children depend only on its label,
+			// so both runs schedule identical work if they pop identically.
+			var spawn func(label string, depth int) func(*Engine)
+			spawn = func(label string, depth int) func(*Engine) {
+				return func(e *Engine) {
+					log = append(log, fmt.Sprintf("%s@%v", label, e.Now()))
+					if depth >= 3 {
+						return
+					}
+					h := fnv.New64a()
+					h.Write([]byte(label))
+					r := rand.New(rand.NewSource(int64(h.Sum64())))
+					for c := r.Intn(3); c > 0; c-- {
+						child := fmt.Sprintf("%s.%d", label, c)
+						if r.Intn(2) == 0 {
+							e.Schedule(Time(r.Intn(6))/8, spawn(child, depth+1))
+						} else {
+							e.ScheduleAt(e.Now()+Time(r.Intn(6))/8, spawn(child, depth+1))
+						}
+					}
+				}
+			}
+			if lazy {
+				var next int
+				var arrive func(*Engine)
+				arrive = func(e *Engine) {
+					i := next
+					if next++; next < n {
+						e.ScheduleArrival(times[next], arrive)
+					}
+					spawn(fmt.Sprintf("a%d", i), 0)(e)
+				}
+				for k := 0; k < upFront; k++ {
+					eng.Schedule(Time(k)/4, spawn(fmt.Sprintf("o%d", k), 0))
+				}
+				eng.ScheduleArrival(times[0], arrive)
+			} else {
+				for i, at := range times {
+					eng.Schedule(at, spawn(fmt.Sprintf("a%d", i), 0))
+				}
+				for k := 0; k < upFront; k++ {
+					eng.Schedule(Time(k)/4, spawn(fmt.Sprintf("o%d", k), 0))
+				}
+			}
+			if err := eng.Run(100000); err != nil {
+				t.Fatal(err)
+			}
+			return log
+		}
+		eager, lazy := run(false), run(true)
+		if !slices.Equal(eager, lazy) {
+			t.Fatalf("seed %d: lazy pop order differs from eager\neager %v\nlazy  %v", seed, eager, lazy)
+		}
 	}
 }

@@ -22,7 +22,7 @@ const DefaultSketchAlpha = 0.01
 //     rank-floor(q·(n−1)) order statistic. Enforced by property tests in
 //     sketch_test.go and documented in docs/serving-model.md §15.
 //   - Exact merge: bucket counts are integers, so Merge is associative
-//     and commutative — merging per-epoch or per-replica sketches yields
+//     and commutative — merging per-replica sketches yields
 //     bit-identical quantiles to sketching the union stream. (Sum is a
 //     float accumulator and only reorder-tolerant, not bit-stable.)
 //   - Determinism: quantiles depend only on the bucket multiset, never
@@ -181,8 +181,7 @@ func (s *Sketch) Merge(o *Sketch) error {
 	return nil
 }
 
-// Reset empties the sketch in place, keeping its bucket maps' capacity —
-// epoch rotation reuses one pair of sketches instead of reallocating.
+// Reset empties the sketch in place, keeping its bucket maps' capacity.
 func (s *Sketch) Reset() {
 	clear(s.pos)
 	clear(s.neg)

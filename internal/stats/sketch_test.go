@@ -136,7 +136,7 @@ func TestSketchMergeMatchesUnion(t *testing.T) {
 }
 
 // TestSketchMergeAssociative: (a⋃b)⋃c and a⋃(b⋃c) yield identical
-// quantiles — the property epoch- and replica-merging relies on.
+// quantiles — the property replica merging relies on.
 func TestSketchMergeAssociative(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	parts := make([][]float64, 3)

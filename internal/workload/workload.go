@@ -33,8 +33,8 @@ type Request struct {
 }
 
 // TimeStream yields one arrival time per call, non-decreasing from 0.
-// It is the lazy form of Arrivals.Times: epoch-sharded simulations pull
-// arrivals on demand instead of materializing the whole horizon.
+// It is the lazy form of Arrivals.Times: serving runs pull arrivals on
+// demand instead of materializing the whole horizon.
 type TimeStream func() float64
 
 // Arrivals is an arrival process: a source of event times on the simulated
@@ -414,22 +414,19 @@ func (s Scenario) Validate() error {
 
 // Generate draws n requests: arrival times from the process, shapes from
 // the mix, deterministic under the rng. Prefix identities are disjoint
-// across shapes (shape index partitions the ID space).
-//
-// Generate makes two passes over the rng — all n times first, then n
-// shapes. The streaming Generator interleaves the two draws per request;
-// both are valid deterministic sample paths of the same scenario, but
-// they are not the same path, so callers comparing runs bit-for-bit must
-// compare like with like.
+// across shapes (shape index partitions the ID space). It makes two passes
+// over the rng — all n times first, then n shapes — and is the drain of
+// the lazy Generator over those times.
 func (s Scenario) Generate(n int, rng *rand.Rand) ([]Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	times := s.Arrivals.Times(n, rng)
-	totalW := s.Mix.totalWeight()
+	i := 0
+	g := s.generator(func() float64 { i++; return times[i-1] }, rng)
 	out := make([]Request, n)
-	for i, t := range times {
-		out[i] = s.shapeRequest(t, rng, totalW)
+	for k := range out {
+		out[k] = g.Next()
 	}
 	return out, nil
 }
@@ -444,8 +441,7 @@ func (m Mix) totalWeight() float64 {
 }
 
 // shapeRequest draws one request's shape for an arrival at t. The rng
-// draw order per request (shape pick, length jitters, prefix identity) is
-// shared by Generate and Generator.Next.
+// draw order per request is shape pick, length jitters, prefix identity.
 func (s Scenario) shapeRequest(t float64, rng *rand.Rand, totalW float64) Request {
 	sh, si := s.pick(rng, totalW)
 	r := Request{ArrivalSec: t, Shape: sh.Name}
@@ -484,9 +480,9 @@ func (s Scenario) shapeRequest(t float64, rng *rand.Rand, totalW float64) Reques
 }
 
 // Generator streams a scenario's requests one at a time, in arrival
-// order, without materializing the horizon. Memory is O(1) in the number
-// of requests — the bounded-memory serving runs pull their offered load
-// from here. See Generate for how the two rng draw orders relate.
+// order, without materializing the horizon: arrival times come from one
+// stream and shapes from the rng, so memory is O(1) in the number of
+// requests.
 type Generator struct {
 	s      Scenario
 	ts     TimeStream
@@ -494,17 +490,44 @@ type Generator struct {
 	totalW float64
 }
 
-// Stream validates the scenario and returns its streaming generator.
-func (s Scenario) Stream(rng *rand.Rand) (*Generator, error) {
+func (s Scenario) generator(ts TimeStream, rng *rand.Rand) *Generator {
+	return &Generator{s: s, ts: ts, rng: rng, totalW: s.Mix.totalWeight()}
+}
+
+// Stream validates the scenario and returns the lazy form of
+// Generate(n, rand.New(rand.NewSource(seed))): draining it yields the
+// same n requests, bit for bit. It runs two streams on the seed — arrival
+// times from one, shapes from a second advanced past the n time draws
+// Generate makes before its shape pass.
+func (s Scenario) Stream(n int, seed int64) (*Generator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{s: s, ts: s.Arrivals.Stream(rng), rng: rng, totalW: s.Mix.totalWeight()}, nil
+	shapes := rand.New(rand.NewSource(seed))
+	skipTimes(s.Arrivals.Stream(shapes), n)
+	return s.generator(s.Arrivals.Stream(rand.New(rand.NewSource(seed))), shapes), nil
 }
 
 // Next draws the next request.
 func (g *Generator) Next() Request {
 	return g.s.shapeRequest(g.ts(), g.rng, g.totalW)
+}
+
+// Skip advances rng exactly as far as Generate(n, rng) would, without
+// building the requests.
+func (s Scenario) Skip(n int, rng *rand.Rand) {
+	skipTimes(s.Arrivals.Stream(rng), n)
+	totalW := s.Mix.totalWeight()
+	for i := 0; i < n; i++ {
+		s.shapeRequest(0, rng, totalW)
+	}
+}
+
+// skipTimes discards n values of a time stream.
+func skipTimes(ts TimeStream, n int) {
+	for i := 0; i < n; i++ {
+		ts()
+	}
 }
 
 // prefixIDStride partitions prefix identities by shape so two shapes can

@@ -239,3 +239,92 @@ func TestMixValidateAndMeans(t *testing.T) {
 		t.Errorf("MeanOutputLen = %d, want 40", got)
 	}
 }
+
+// generateTwoPass is the reference scenario synthesis the lazy generator
+// must reproduce: all n arrival times drawn from rng first, then n shapes.
+func generateTwoPass(s Scenario, n int, rng *rand.Rand) []Request {
+	times := s.Arrivals.Times(n, rng)
+	totalW := s.Mix.totalWeight()
+	out := make([]Request, n)
+	for i, t := range times {
+		out[i] = s.shapeRequest(t, rng, totalW)
+	}
+	return out
+}
+
+// allScenarios crosses every arrival process with every mix.
+func allScenarios() []Scenario {
+	arrivals := []Arrivals{
+		Poisson{Rate: 3},
+		Bursty(3),
+		Diurnal{Mean: 3, Amplitude: 0.8, PeriodSec: 60},
+		Ramp{StartRate: 1, EndRate: 4, RampSec: 30},
+		Replay{TimesSec: []float64{0, 0.2, 0.2, 1.5, 1.6, 4}},
+	}
+	var out []Scenario
+	for _, a := range arrivals {
+		for _, m := range []Mix{ChatMix(), RAGMix(), AgenticMix()} {
+			out = append(out, Scenario{Arrivals: a, Mix: m})
+		}
+	}
+	return out
+}
+
+func sameRequests(a, b []Request) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].ArrivalSec) != math.Float64bits(b[i].ArrivalSec) {
+			return false
+		}
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStreamMatchesTwoPassOracle: draining the lazy generator, and
+// Generate itself, reproduce the two-pass synthesis bit for bit for every
+// arrival process and mix.
+func TestStreamMatchesTwoPassOracle(t *testing.T) {
+	const n, seed = 400, 17
+	for _, sc := range allScenarios() {
+		want := generateTwoPass(sc, n, rand.New(rand.NewSource(seed)))
+		g, err := sc.Stream(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy := make([]Request, n)
+		for i := range lazy {
+			lazy[i] = g.Next()
+		}
+		if !sameRequests(lazy, want) {
+			t.Errorf("%s/%s: lazy generator differs from the two-pass oracle", sc.Name(), sc.Mix[0].Name)
+		}
+		got, err := sc.Generate(n, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRequests(got, want) {
+			t.Errorf("%s/%s: Generate differs from the two-pass oracle", sc.Name(), sc.Mix[0].Name)
+		}
+	}
+}
+
+// TestSkipLeavesRNGWhereGenerateDoes: Skip advances a caller's rng to
+// exactly where the two-pass synthesis leaves it, so the next draw agrees.
+func TestSkipLeavesRNGWhereGenerateDoes(t *testing.T) {
+	for _, sc := range allScenarios() {
+		for _, n := range []int{0, 1, 250} {
+			oracle := rand.New(rand.NewSource(5))
+			generateTwoPass(sc, n, oracle)
+			skipped := rand.New(rand.NewSource(5))
+			sc.Skip(n, skipped)
+			if a, b := oracle.Int63(), skipped.Int63(); a != b {
+				t.Errorf("%s/%s n=%d: next draw after Skip %d, after Generate %d", sc.Name(), sc.Mix[0].Name, n, b, a)
+			}
+		}
+	}
+}

@@ -95,11 +95,9 @@ type ServeConfig struct {
 	// SketchAlpha is the sketch's relative error bound (0 = default 0.01).
 	// Only meaningful with QuantileMode "sketch".
 	SketchAlpha float64
-	// EpochRequests shards the simulation horizon: arrivals are scheduled
-	// in epochs of this many requests, with scheduler/KV/prefix-cache state
-	// handed warm across the boundary (0 = 65536 in sketch mode, unsharded
-	// in exact mode; setting it explicitly in exact mode forces the sharded
-	// scheduler path, which stays byte-identical to the monolithic one).
+	// EpochRequests is accepted and ignored (negative values are still
+	// rejected): every run pulls its arrivals one at a time with a single
+	// arrival pending, so there are no arrival epochs to size.
 	EpochRequests int
 	// Observe records the run's per-request lifecycle event stream and
 	// windowed time series and attaches the rendered artifacts (Perfetto

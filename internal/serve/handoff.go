@@ -50,9 +50,12 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 	if src.obs != nil {
 		src.event(Event{Kind: EvHandoff, ReqID: r.req.ID, Tokens: tokens, Bytes: bytes, XferSec: drain + nic})
 	}
-	reqID := r.req.ID
+	// The hold changes owner here: the source releases it when the drain
+	// completes, and ingest parks the copy on the destination at
+	// drain+nic, strictly later because hw.NICHandoffSetupSec > 0 — so the
+	// hold is empty whenever the destination first touches it.
 	d.eng.Schedule(sim.Time(drain), func(*sim.Engine) {
-		src.kv.Release(reqID)
+		src.kv.release(&r.kv)
 		src.kick()
 	})
 	d.eng.Schedule(sim.Time(drain+nic), func(*sim.Engine) {
@@ -70,7 +73,7 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 func (d *handoffDispatcher) ingest(r *reqState, tokens int) {
 	j := d.stage.pick(r.req)
 	dst := d.stage.reps[j]
-	if dst.kv.SwapOut(r.req.ID, tokens) {
+	if dst.kv.swapOut(&r.kv, tokens) {
 		r.swapped = true
 		r.swappedTokens = tokens
 	} else {

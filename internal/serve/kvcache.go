@@ -1,6 +1,9 @@
 package serve
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // BlockManager is the paged KV-cache allocator: the platform's usable
 // memory (HBM minus weights on GPUs, enclave size minus weights under SGX,
@@ -25,12 +28,19 @@ type BlockManager struct {
 	free          int // blocks neither privately held nor backing a shared entry
 	sharing       bool
 
-	held       map[int]int            // request ID → private blocks held
-	pinned     map[int][]*sharedBlock // request ID → shared prefix blocks pinned, in chain order
+	// holds lists every non-empty kvHold the manager accounts for; each
+	// hold stores its own slot, so registering and retiring one is O(1)
+	// and CheckConservation recounts the pool from this slice alone.
+	holds []*kvHold
+	// byID backs the exported request-ID methods, and spare recycles the
+	// holds they forget. Only those methods touch either; the scheduler
+	// passes each request's embedded hold instead.
+	byID       map[int]*kvHold
+	spare      []*kvHold
 	shared     map[blockKey]*sharedBlock
 	tick       int64 // monotonic op counter driving LRU order (deterministic)
 	cached     int   // shared blocks nobody pins (refs == 0), kept so InUse is O(1)
-	dedupPass  int64 // stamp of the latest DedupSavedTokens call
+	dedupPass  int64 // stamp of the latest dedup pass
 	peakInUse  int
 	evicted    int
 	hitTokens  int
@@ -43,7 +53,21 @@ type BlockManager struct {
 	swapTotal int
 	swapUsed  int
 	swapPeak  int
-	swapped   map[int]int // request ID → swap blocks parked
+}
+
+// kvHold is one request's holding in a BlockManager: its private blocks,
+// the shared prefix blocks it pins and the swap blocks its parked copy
+// occupies. It is embedded in the request's state, so the per-round path
+// reaches it without a lookup; only the manager reads or writes its
+// fields. A non-empty hold is registered with exactly one manager. It
+// changes manager only while empty (a disaggregated handoff releases it
+// at the source before the destination parks the copy).
+type kvHold struct {
+	private int
+	pins    []*sharedBlock // in chain order, from block index 0
+	swap    int
+	owner   *BlockManager // the manager listing the hold; nil while it holds nothing
+	slot    int           // index in owner.holds
 }
 
 // blockKey identifies one shareable block by its chained content hash: the
@@ -67,7 +91,7 @@ type sharedBlock struct {
 	// Within one release, deeper blocks get smaller sequences, so eviction
 	// is leaf-first and a surviving block's chain parents survive too.
 	lruSeq int64
-	// dedupPass and dedupLen are DedupSavedTokens scratch, used on chain
+	// dedupPass and dedupLen are dedup-pass scratch, used on chain
 	// roots only: the pass that last saw the root, and the longest pin list
 	// under it in that pass.
 	dedupPass int64
@@ -109,10 +133,8 @@ func NewBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sh
 		total:         total,
 		free:          total,
 		sharing:       sharing,
-		held:          make(map[int]int),
-		pinned:        make(map[int][]*sharedBlock),
+		byID:          make(map[int]*kvHold),
 		shared:        make(map[blockKey]*sharedBlock),
-		swapped:       make(map[int]int),
 	}, nil
 }
 
@@ -135,46 +157,49 @@ func (m *BlockManager) SwappedBlocks() int { return m.swapUsed }
 // PeakSwapBlocks returns the swap pool's occupancy high-water mark.
 func (m *BlockManager) PeakSwapBlocks() int { return m.swapPeak }
 
-// SwapOut parks a preempted request's computed KV entries in the host swap
-// pool and releases everything it holds in the device pool (private blocks
-// free, shared pins drop exactly as Release — computed prefix blocks stay
-// cached for other sharers). It is all-or-nothing: when the swap pool
+// swapOut parks a preempted request's computed KV entries in the host swap
+// pool and releases everything its hold has in the device pool (private
+// blocks free, shared pins drop exactly as release — computed prefix blocks
+// stay cached for other sharers). It is all-or-nothing: when the swap pool
 // cannot hold BlocksFor(tokens) more blocks it returns false and the
-// request's device holdings are untouched (the caller falls back to
+// hold's device blocks are untouched (the caller falls back to
 // recompute). The swap copy is self-contained: it covers all `tokens`
 // leading entries, including any span shared prefix blocks also cover, so
 // a later swap-in never depends on cache residency.
-func (m *BlockManager) SwapOut(reqID, tokens int) bool {
-	if tokens <= 0 {
-		return false
-	}
-	if m.swapped[reqID] > 0 {
-		return false // already parked; one swap copy per request
+func (m *BlockManager) swapOut(h *kvHold, tokens int) bool {
+	m.check(h)
+	if tokens <= 0 || h.swap > 0 {
+		return false // nothing to park, or already parked: one copy per request
 	}
 	need := m.BlocksFor(tokens)
 	if m.swapUsed+need > m.swapTotal {
 		return false
 	}
-	m.Release(reqID)
+	if h.owner == nil {
+		m.register(h)
+	}
+	h.swap = need // set before release, which then keeps the hold registered
+	m.release(h)
 	m.swapUsed += need
-	m.swapped[reqID] = need
 	if m.swapUsed > m.swapPeak {
 		m.swapPeak = m.swapUsed
 	}
 	return true
 }
 
-// SwapIn releases a request's parked swap blocks (its KV copy has been
+// swapIn releases a hold's parked swap blocks (its KV copy has been
 // transferred back into device blocks the caller allocated) and returns
 // how many were freed. Dropping a swapped request uses the same call —
 // the pool does not care whether the copy was restored or discarded.
-func (m *BlockManager) SwapIn(reqID int) int {
-	n := m.swapped[reqID]
+func (m *BlockManager) swapIn(h *kvHold) int {
+	m.check(h)
+	n := h.swap
 	if n == 0 {
 		return 0
 	}
-	delete(m.swapped, reqID)
+	h.swap = 0
 	m.swapUsed -= n
+	m.settle(h)
 	return n
 }
 
@@ -279,7 +304,36 @@ func (m *BlockManager) reserve(n int) bool {
 	return true
 }
 
-// AcquirePrefix pins the request onto the shared blocks of its prompt
+// register lists a hold that is about to hold its first block.
+func (m *BlockManager) register(h *kvHold) {
+	h.owner, h.slot = m, len(m.holds)
+	m.holds = append(m.holds, h)
+}
+
+// settle retires a hold from the registry once it holds nothing, moving
+// the last registered hold into its slot.
+func (m *BlockManager) settle(h *kvHold) {
+	if h.owner == nil || h.private != 0 || len(h.pins) != 0 || h.swap != 0 {
+		return
+	}
+	last := len(m.holds) - 1
+	moved := m.holds[last]
+	m.holds[h.slot], moved.slot = moved, h.slot
+	m.holds[last] = nil
+	m.holds = m.holds[:last]
+	h.owner, h.slot = nil, 0
+}
+
+// check rejects a hold registered with another manager. Counting or
+// freeing it here would corrupt both pools' accounting, and the only
+// legitimate move between managers happens while the hold is empty.
+func (m *BlockManager) check(h *kvHold) {
+	if h.owner != nil && h.owner != m {
+		panic("serve: KV hold presented to a BlockManager that does not own it")
+	}
+}
+
+// acquirePrefix pins a hold onto the shared blocks of its request's prompt
 // prefix, publishing blocks that are not cached yet. prefixHash is the
 // chained identity of the prefix content; prefixTokens its length (only
 // whole blocks are shareable — the remainder lives in private blocks).
@@ -287,20 +341,21 @@ func (m *BlockManager) reserve(n int) bool {
 // It returns the number of leading prefix tokens whose KV entries are
 // already computed and cached — tokens the request's prefill can skip.
 // Publishing stops (without failing) when the pool cannot back further
-// blocks; the request covers the rest with private blocks via Grow.
-// Acquiring twice for the same request is an error — Release first.
+// blocks; the request covers the rest with private blocks via grow.
+// Acquiring twice for the same hold is an error — release first.
 //
 // Hit/miss statistics are NOT updated here: an admission that acquires a
 // prefix and then fails to grow releases and retries later, and counting
 // at acquire time would credit the same tokens once per retry. The
 // scheduler calls creditPrefixStats once the request is actually
 // admitted.
-func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
+func (m *BlockManager) acquirePrefix(h *kvHold, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
+	m.check(h)
 	if !m.sharing || prefixTokens < m.blockTokens {
 		return 0, nil
 	}
-	if len(m.pinned[reqID]) > 0 {
-		return 0, fmt.Errorf("serve: request %d acquires a prefix it already holds", reqID)
+	if len(h.pins) > 0 {
+		return 0, errPrefixHeld
 	}
 	nBlocks := prefixTokens / m.blockTokens // full blocks only
 	pins := make([]*sharedBlock, 0, nBlocks)
@@ -332,45 +387,60 @@ func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens 
 		m.notePeak()
 	}
 	if len(pins) > 0 {
-		m.pinned[reqID] = pins
+		if h.owner == nil {
+			m.register(h)
+		}
+		h.pins = pins
 	}
 	return cachedTokens, nil
 }
 
+// errPrefixHeld rejects a second prefix acquisition on one hold.
+var errPrefixHeld = errors.New("serve: request acquires a prefix it already holds")
+
 // creditPrefixStats commits the hit/miss accounting of a successful
 // admission: cachedTokens prefix tokens were served from cache, and the
-// rest of the request's pinned prefix had to be (re)computed.
-func (m *BlockManager) creditPrefixStats(reqID, cachedTokens int) {
+// rest of the hold's pinned prefix had to be (re)computed.
+func (m *BlockManager) creditPrefixStats(h *kvHold, cachedTokens int) {
 	m.hitTokens += cachedTokens
-	if missed := m.SharedTokens(reqID) - cachedTokens; missed > 0 {
+	if missed := m.sharedTokens(h) - cachedTokens; missed > 0 {
 		m.missTokens += missed
 	}
 }
 
-// SharedTokens returns how many prompt tokens of the request are covered by
+// sharedTokens returns how many prompt tokens of the hold are covered by
 // pinned shared blocks.
-func (m *BlockManager) SharedTokens(reqID int) int {
-	return len(m.pinned[reqID]) * m.blockTokens
+func (m *BlockManager) sharedTokens(h *kvHold) int {
+	return len(h.pins) * m.blockTokens
 }
 
-// MarkComputed records that the request's prefill has filled its pinned
+// markComputed records that the request's prefill has filled its pinned
 // prefix blocks up to `tokens` prompt tokens, making them cache hits for
 // later sharers.
-func (m *BlockManager) MarkComputed(reqID, tokens int) {
-	for _, b := range m.pinned[reqID] {
+func (m *BlockManager) markComputed(h *kvHold, tokens int) {
+	m.check(h)
+	for _, b := range h.pins {
 		if (b.key.idx+1)*m.blockTokens <= tokens {
 			b.computed = true
 		}
 	}
 }
 
-// Grow ensures the request holds enough blocks for `tokens` cache entries,
+// grow ensures the hold has enough blocks for `tokens` cache entries,
 // counting pinned shared blocks first and allocating the private-block
 // shortfall (evicting cached blocks under pressure). It reports whether
-// the pool could satisfy the request; on false the holding is unchanged
-// (all-or-nothing).
-func (m *BlockManager) Grow(reqID, tokens int) bool {
-	need := m.BlocksFor(tokens) - len(m.pinned[reqID]) - m.held[reqID]
+// the pool could satisfy the request; on false the hold is unchanged
+// (all-or-nothing). When the hold already covers `tokens` — nearly every
+// decode round — it costs a few field reads and a multiply, inlined at the
+// call site.
+func (m *BlockManager) grow(h *kvHold, tokens int) bool {
+	return h.owner == m && tokens <= (len(h.pins)+h.private)*m.blockTokens || m.growTo(h, tokens)
+}
+
+// growTo is grow's allocating path.
+func (m *BlockManager) growTo(h *kvHold, tokens int) bool {
+	m.check(h)
+	need := m.BlocksFor(tokens) - len(h.pins) - h.private
 	if need <= 0 {
 		return true
 	}
@@ -378,24 +448,27 @@ func (m *BlockManager) Grow(reqID, tokens int) bool {
 		return false
 	}
 	m.free -= need
-	m.held[reqID] += need
+	if h.owner == nil {
+		m.register(h)
+	}
+	h.private += need
 	m.notePeak()
 	return true
 }
 
-// Release frees every private block the request holds, unpins its shared
-// blocks, and returns the total count released. Shared blocks whose
-// refcount drops to zero stay cached (leaf-first LRU) if computed, and are
-// freed immediately if their prefill never completed.
-func (m *BlockManager) Release(reqID int) int {
-	n := m.held[reqID]
-	delete(m.held, reqID)
+// release frees every private block the hold has, unpins its shared
+// blocks, and returns the total count released; a parked swap copy stays.
+// Shared blocks whose refcount drops to zero stay cached (leaf-first LRU)
+// if computed, and are freed immediately if their prefill never
+// completed.
+func (m *BlockManager) release(h *kvHold) int {
+	m.check(h)
+	n := h.private
 	m.free += n
-	pins := m.pinned[reqID]
-	delete(m.pinned, reqID)
-	if len(pins) > 0 {
+	h.private = 0
+	if len(h.pins) > 0 {
 		m.tick++
-		for _, b := range pins {
+		for _, b := range h.pins {
 			n++
 			b.refs--
 			if b.refs > 0 {
@@ -410,18 +483,20 @@ func (m *BlockManager) Release(reqID int) int {
 			b.lruSeq = m.tick<<16 - int64(b.key.idx)
 			m.cached++
 		}
+		h.pins = nil
 	}
+	m.settle(h)
 	return n
 }
 
-// DedupSavedTokens returns how many tokens of per-row KV read traffic
-// across the given requests are repeat reads of the same shared physical
+// dedupSavedTokens returns how many tokens of per-row KV read traffic
+// across the decoding rows are repeat reads of the same shared physical
 // blocks (pins minus unique blocks). The scheduler subtracts these from
 // the decode step's resident working set: shared prefix pages are mapped
 // once however many rows stream them, so they do not widen TLB reach or
 // enclave paging pressure.
 //
-// It is O(len(ids)) and allocation-free. A request's pins are the chain
+// It is O(len(rows)) and allocation-free. A request's pins are the chain
 // blocks at indices 0, 1, … of one prefix hash, contiguous from the root;
 // chainHash is a bijection of the prefix hash at a fixed index, so rows
 // pinning one block pin one prefix hash; and a pinned block is never
@@ -429,58 +504,198 @@ func (m *BlockManager) Release(reqID int) int {
 // they both reach. Two rows therefore share blocks exactly when they share
 // a root, and then over their whole common length: the unique blocks under
 // one root are its longest pin list.
+func (m *BlockManager) dedupSavedTokens(rows []*reqState) int {
+	if !m.sharing {
+		return 0
+	}
+	m.dedupPass++
+	saved := 0
+	for _, r := range rows {
+		saved += m.dedupRow(&r.kv)
+	}
+	return saved * m.blockTokens
+}
+
+// dedupRow adds one row to the current dedup pass and returns how many of
+// its pins repeat blocks an earlier row of the pass already read.
+func (m *BlockManager) dedupRow(h *kvHold) int {
+	m.check(h)
+	p := h.pins
+	if len(p) == 0 {
+		return 0
+	}
+	root := p[0]
+	if root.dedupPass != m.dedupPass {
+		root.dedupPass, root.dedupLen = m.dedupPass, 0
+	}
+	if len(p) <= root.dedupLen {
+		return len(p)
+	}
+	repeats := root.dedupLen
+	root.dedupLen = len(p)
+	return repeats
+}
+
+// The exported request-ID methods below are the manager's public API for
+// callers that track requests by ID, such as replay tools. Each finds the
+// request's hold in byID, runs the hold method of the same name, and
+// forgets the hold once it is empty. The scheduler never calls them.
+
+// idHold returns request reqID's hold, creating it on first use.
+func (m *BlockManager) idHold(reqID int) *kvHold {
+	h := m.byID[reqID]
+	if h == nil {
+		if n := len(m.spare); n > 0 {
+			h, m.spare = m.spare[n-1], m.spare[:n-1]
+		} else {
+			h = new(kvHold)
+		}
+		m.byID[reqID] = h
+	}
+	return h
+}
+
+// forget drops request reqID's hold from byID once it holds nothing,
+// keeping it for reuse.
+func (m *BlockManager) forget(reqID int, h *kvHold) {
+	if h.owner == nil {
+		delete(m.byID, reqID)
+		m.spare = append(m.spare, h)
+	}
+}
+
+// AcquirePrefix pins request reqID onto the shared blocks of its prompt
+// prefix and returns the leading prefix tokens already computed and
+// cached; see acquirePrefix. Acquiring twice for the same request is an
+// error — Release first.
+func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
+	h := m.idHold(reqID)
+	cachedTokens, err = m.acquirePrefix(h, prefixHash, prefixTokens)
+	m.forget(reqID, h)
+	if err != nil {
+		return 0, fmt.Errorf("serve: request %d acquires a prefix it already holds", reqID)
+	}
+	return cachedTokens, nil
+}
+
+// SharedTokens returns how many prompt tokens of the request are covered by
+// pinned shared blocks.
+func (m *BlockManager) SharedTokens(reqID int) int {
+	if h := m.byID[reqID]; h != nil {
+		return m.sharedTokens(h)
+	}
+	return 0
+}
+
+// MarkComputed records that the request's prefill has filled its pinned
+// prefix blocks up to `tokens` prompt tokens; see markComputed.
+func (m *BlockManager) MarkComputed(reqID, tokens int) {
+	if h := m.byID[reqID]; h != nil {
+		m.markComputed(h, tokens)
+	}
+}
+
+// Grow ensures the request holds enough blocks for `tokens` cache entries
+// and reports whether the pool could satisfy it, all-or-nothing; see grow.
+func (m *BlockManager) Grow(reqID, tokens int) bool {
+	h := m.idHold(reqID)
+	ok := m.grow(h, tokens)
+	m.forget(reqID, h)
+	return ok
+}
+
+// Release frees every private block the request holds, unpins its shared
+// blocks, and returns the total count released; see release.
+func (m *BlockManager) Release(reqID int) int {
+	h := m.idHold(reqID)
+	n := m.release(h)
+	m.forget(reqID, h)
+	return n
+}
+
+// SwapOut parks a preempted request's computed KV entries in the host swap
+// pool and releases its device blocks, all-or-nothing; see swapOut.
+func (m *BlockManager) SwapOut(reqID, tokens int) bool {
+	h := m.idHold(reqID)
+	ok := m.swapOut(h, tokens)
+	m.forget(reqID, h)
+	return ok
+}
+
+// SwapIn releases a request's parked swap blocks and returns how many were
+// freed; see swapIn.
+func (m *BlockManager) SwapIn(reqID int) int {
+	h := m.idHold(reqID)
+	n := m.swapIn(h)
+	m.forget(reqID, h)
+	return n
+}
+
+// DedupSavedTokens returns how many tokens of per-row KV read traffic
+// across the given requests are repeat reads of the same shared physical
+// blocks; see dedupSavedTokens.
 func (m *BlockManager) DedupSavedTokens(ids []int) int {
 	if !m.sharing {
 		return 0
 	}
 	m.dedupPass++
-	pins, uniq := 0, 0
+	saved := 0
 	for _, id := range ids {
-		p := m.pinned[id]
-		if len(p) == 0 {
-			continue
-		}
-		pins += len(p)
-		root := p[0]
-		if root.dedupPass != m.dedupPass {
-			root.dedupPass, root.dedupLen = m.dedupPass, 0
-		}
-		if len(p) > root.dedupLen {
-			uniq += len(p) - root.dedupLen
-			root.dedupLen = len(p)
+		if h := m.byID[id]; h != nil {
+			saved += m.dedupRow(h)
 		}
 	}
-	return (pins - uniq) * m.blockTokens
+	return saved * m.blockTokens
 }
 
 // CheckConservation verifies the pool's accounting invariants: every block
 // is exactly one of free, privately held, or backing a shared entry;
 // shared refcounts equal the pins held by requests; every pin list is the
-// published chain from index 0; and the cached-block counter matches a
-// recount of the unpinned (necessarily computed) blocks. Tests call this
+// published chain from index 0; the cached-block counter matches a
+// recount of the unpinned (necessarily computed) blocks; and every live
+// hold is registered here, exactly once, at its own slot. Tests call this
 // after adversarial share/preempt/evict interleavings.
 func (m *BlockManager) CheckConservation() error {
-	private := 0
-	for _, n := range m.held {
-		if n < 0 {
-			return fmt.Errorf("serve: negative private holding %d", n)
+	private, swapSum := 0, 0
+	pinRefs := make(map[blockKey]int)
+	for i, h := range m.holds {
+		if h.owner != m || h.slot != i {
+			return fmt.Errorf("serve: registry slot %d lists a hold that records another manager or slot %d", i, h.slot)
 		}
-		private += n
+		if h.private == 0 && len(h.pins) == 0 && h.swap == 0 {
+			return fmt.Errorf("serve: hold %d holds nothing but is still registered", i)
+		}
+		if h.private < 0 {
+			return fmt.Errorf("serve: negative private holding %d", h.private)
+		}
+		private += h.private
+		// DedupSavedTokens relies on every pin list being a chain from
+		// index 0 whose blocks are the ones published under their keys.
+		for j, b := range h.pins {
+			if b.key.idx != j || m.shared[b.key] != b {
+				return fmt.Errorf("serve: hold %d pin %d is block %v, not the published chain block", i, j, b.key)
+			}
+			pinRefs[b.key]++
+		}
+		if h.swap < 0 {
+			return fmt.Errorf("serve: hold %d parks %d swap blocks", i, h.swap)
+		}
+		swapSum += h.swap
+		// A swapped hold has nothing in the device pool: swapOut released
+		// its private blocks and shared pins atomically.
+		if h.swap > 0 && (h.private != 0 || len(h.pins) != 0) {
+			return fmt.Errorf("serve: swapped hold %d still holds %d private / %d pinned device blocks",
+				i, h.private, len(h.pins))
+		}
+	}
+	for id, h := range m.byID {
+		if h.owner != m {
+			return fmt.Errorf("serve: request %d's hold is not registered with this manager", id)
+		}
 	}
 	if got := m.free + private + len(m.shared); got != m.total {
 		return fmt.Errorf("serve: block conservation broken: free %d + private %d + shared %d = %d, want %d",
 			m.free, private, len(m.shared), got, m.total)
-	}
-	// DedupSavedTokens relies on every pin list being a chain from index 0
-	// whose blocks are the ones published under their keys.
-	pinRefs := make(map[blockKey]int)
-	for id, pins := range m.pinned {
-		for i, b := range pins {
-			if b.key.idx != i || m.shared[b.key] != b {
-				return fmt.Errorf("serve: request %d pin %d is block %v, not the published chain block", id, i, b.key)
-			}
-			pinRefs[b.key]++
-		}
 	}
 	cached := 0
 	for key, b := range m.shared {
@@ -499,19 +714,6 @@ func (m *BlockManager) CheckConservation() error {
 	}
 	if cached != m.cached {
 		return fmt.Errorf("serve: %d cached blocks but the counter says %d", cached, m.cached)
-	}
-	swapSum := 0
-	for id, n := range m.swapped {
-		if n <= 0 {
-			return fmt.Errorf("serve: request %d parks %d swap blocks", id, n)
-		}
-		swapSum += n
-		// A swapped request holds nothing in the device pool: SwapOut
-		// released its private blocks and shared pins atomically.
-		if m.held[id] != 0 || len(m.pinned[id]) != 0 {
-			return fmt.Errorf("serve: swapped request %d still holds %d private / %d pinned device blocks",
-				id, m.held[id], len(m.pinned[id]))
-		}
 	}
 	if swapSum != m.swapUsed {
 		return fmt.Errorf("serve: swap pool accounting broken: %d parked, %d used", swapSum, m.swapUsed)

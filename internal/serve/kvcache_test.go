@@ -5,28 +5,37 @@ import (
 	"testing"
 )
 
-// holders returns how many requests hold private blocks or pin shared ones.
+// holders returns how many live holds have private blocks or pin shared
+// ones.
 func holders(m *BlockManager) int {
-	ids := make(map[int]struct{}, len(m.held)+len(m.pinned))
-	for id := range m.held {
-		ids[id] = struct{}{}
+	n := 0
+	for _, h := range m.holds {
+		if h.private > 0 || len(h.pins) > 0 {
+			n++
+		}
 	}
-	for id := range m.pinned {
-		ids[id] = struct{}{}
-	}
-	return len(ids)
+	return n
 }
 
-// dedupOracle is DedupSavedTokens by definition: pins minus distinct pinned
-// blocks across the rows, counted with a set of block keys.
-func dedupOracle(m *BlockManager, ids []int) int {
+// dedupOracle is dedup by definition: pins minus distinct pinned blocks
+// across the rows' holds (nil for a request the manager never saw),
+// counted with a set of block keys. Every non-empty hold must be in the
+// manager's live-hold registry.
+func dedupOracle(tb testing.TB, m *BlockManager, rows []*kvHold) int {
+	tb.Helper()
 	if !m.sharing {
 		return 0
 	}
 	seen := make(map[blockKey]struct{})
 	pins, uniq := 0, 0
-	for _, id := range ids {
-		for _, b := range m.pinned[id] {
+	for _, h := range rows {
+		if h == nil || len(h.pins) == 0 {
+			continue
+		}
+		if h.owner != m || m.holds[h.slot] != h {
+			tb.Fatalf("pinning hold %p is not in the live-hold registry", h)
+		}
+		for _, b := range h.pins {
 			pins++
 			if _, ok := seen[b.key]; !ok {
 				seen[b.key] = struct{}{}
@@ -35,6 +44,91 @@ func dedupOracle(m *BlockManager, ids []int) int {
 		}
 	}
 	return (pins - uniq) * m.blockTokens
+}
+
+// walkReq is one simulated request of a randomized walk. Odd IDs go
+// through their own hold, even IDs through the exported request-ID
+// methods, so both paths face the same interleavings.
+type walkReq struct {
+	id, prefix, prefixLen int
+	swapped               bool
+	st                    *reqState // nil: the request uses the ID-keyed methods
+}
+
+func newWalkReq(id int) walkReq {
+	r := walkReq{id: id}
+	if id%2 == 1 {
+		r.st = &reqState{req: Request{ID: id}}
+	}
+	return r
+}
+
+// hold returns the request's hold, nil when an ID-keyed request holds
+// nothing.
+func (r walkReq) hold(m *BlockManager) *kvHold {
+	if r.st != nil {
+		return &r.st.kv
+	}
+	return m.byID[r.id]
+}
+
+func (r walkReq) acquire(m *BlockManager, prefixHash uint64, tokens int) (int, error) {
+	if r.st != nil {
+		return m.acquirePrefix(&r.st.kv, prefixHash, tokens)
+	}
+	return m.AcquirePrefix(r.id, prefixHash, tokens)
+}
+
+func (r walkReq) grow(m *BlockManager, tokens int) bool {
+	if r.st != nil {
+		return m.grow(&r.st.kv, tokens)
+	}
+	return m.Grow(r.id, tokens)
+}
+
+func (r walkReq) markComputed(m *BlockManager, tokens int) {
+	if r.st != nil {
+		m.markComputed(&r.st.kv, tokens)
+		return
+	}
+	m.MarkComputed(r.id, tokens)
+}
+
+func (r walkReq) release(m *BlockManager) int {
+	if r.st != nil {
+		return m.release(&r.st.kv)
+	}
+	return m.Release(r.id)
+}
+
+func (r walkReq) swapOut(m *BlockManager, tokens int) bool {
+	if r.st != nil {
+		return m.swapOut(&r.st.kv, tokens)
+	}
+	return m.SwapOut(r.id, tokens)
+}
+
+func (r walkReq) swapIn(m *BlockManager) int {
+	if r.st != nil {
+		return m.swapIn(&r.st.kv)
+	}
+	return m.SwapIn(r.id)
+}
+
+func (r walkReq) sharedTokens(m *BlockManager) int {
+	if r.st != nil {
+		return m.sharedTokens(&r.st.kv)
+	}
+	return m.SharedTokens(r.id)
+}
+
+// checkDrained asserts that a walk that released everything left no live
+// hold behind, on either path.
+func checkDrained(t *testing.T, m *BlockManager) {
+	t.Helper()
+	if len(m.holds) != 0 || len(m.byID) != 0 {
+		t.Fatalf("%d live holds (%d by ID) after releasing everything", len(m.holds), len(m.byID))
+	}
 }
 
 func TestBlockManagerAccounting(t *testing.T) {
@@ -247,29 +341,28 @@ func TestBlockRefcountConservationRandomized(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(42))
-	type live struct{ id, prefixLen int }
-	var actives []live
+	var actives []walkReq
 	nextID := 0
 	for i := 0; i < 4000; i++ {
 		switch op := rng.Intn(5); {
 		case op == 0 || len(actives) == 0: // new request acquires a prefix
-			id := nextID
+			r := newWalkReq(nextID)
 			nextID++
 			group := rng.Intn(4) + 1
-			pl := (rng.Intn(6) + 1) * 16
-			if _, err := m.AcquirePrefix(id, prefixHash(group), pl); err != nil {
+			r.prefixLen = (rng.Intn(6) + 1) * 16
+			if _, err := r.acquire(m, prefixHash(group), r.prefixLen); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
-			actives = append(actives, live{id: id, prefixLen: pl})
+			actives = append(actives, r)
 		case op == 1: // grow
 			r := actives[rng.Intn(len(actives))]
-			m.Grow(r.id, r.prefixLen+rng.Intn(128))
+			r.grow(m, r.prefixLen+rng.Intn(128))
 		case op == 2: // prefill progress
 			r := actives[rng.Intn(len(actives))]
-			m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+			r.markComputed(m, rng.Intn(r.prefixLen+1))
 		default: // release (preempt/finish)
 			k := rng.Intn(len(actives))
-			m.Release(actives[k].id)
+			actives[k].release(m)
 			actives = append(actives[:k], actives[k+1:]...)
 		}
 		if err := m.CheckConservation(); err != nil {
@@ -277,7 +370,7 @@ func TestBlockRefcountConservationRandomized(t *testing.T) {
 		}
 	}
 	for _, r := range actives {
-		m.Release(r.id)
+		r.release(m)
 	}
 	if err := m.CheckConservation(); err != nil {
 		t.Fatal(err)
@@ -288,6 +381,7 @@ func TestBlockRefcountConservationRandomized(t *testing.T) {
 	if m.FreeBlocks()+m.CachedBlocks() != m.TotalBlocks() {
 		t.Fatalf("free %d + cached %d != total %d", m.FreeBlocks(), m.CachedBlocks(), m.TotalBlocks())
 	}
+	checkDrained(t, m)
 }
 
 func TestSwapPoolAccounting(t *testing.T) {
@@ -336,8 +430,8 @@ func TestSwapPoolAccounting(t *testing.T) {
 	if m.SwapOut(2, 40) { // needs 3 more blocks, only 1 free in the pool
 		t.Fatal("over-capacity swap-out accepted")
 	}
-	if m.held[2] != 3 {
-		t.Fatalf("failed swap-out changed device holdings: %d", m.held[2])
+	if got := m.byID[2].private; got != 3 {
+		t.Fatalf("failed swap-out changed device holdings: %d", got)
 	}
 	// Restore frees the pool; a second restore is a no-op.
 	if n := m.SwapIn(1); n != 3 {
@@ -363,50 +457,46 @@ func TestBlockRefcountConservationRandomizedWithSwap(t *testing.T) {
 	}
 	m.ConfigureSwapPool(24)
 	rng := rand.New(rand.NewSource(7))
-	type live struct {
-		id, prefixLen int
-		swapped       bool
-	}
-	var actives []live
+	var actives []walkReq
 	nextID := 0
 	for i := 0; i < 4000; i++ {
 		switch op := rng.Intn(7); {
 		case op == 0 || len(actives) == 0:
-			id := nextID
+			r := newWalkReq(nextID)
 			nextID++
 			group := rng.Intn(4) + 1
-			pl := (rng.Intn(6) + 1) * 16
-			if _, err := m.AcquirePrefix(id, prefixHash(group), pl); err != nil {
+			r.prefixLen = (rng.Intn(6) + 1) * 16
+			if _, err := r.acquire(m, prefixHash(group), r.prefixLen); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
-			actives = append(actives, live{id: id, prefixLen: pl})
+			actives = append(actives, r)
 		case op == 1:
 			r := actives[rng.Intn(len(actives))]
 			if !r.swapped {
-				m.Grow(r.id, r.prefixLen+rng.Intn(128))
+				r.grow(m, r.prefixLen+rng.Intn(128))
 			}
 		case op == 2:
 			r := actives[rng.Intn(len(actives))]
 			if !r.swapped {
-				m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+				r.markComputed(m, rng.Intn(r.prefixLen+1))
 			}
 		case op == 3: // park
 			k := rng.Intn(len(actives))
-			if !actives[k].swapped && m.SwapOut(actives[k].id, rng.Intn(160)+1) {
+			if !actives[k].swapped && actives[k].swapOut(m, rng.Intn(160)+1) {
 				actives[k].swapped = true
 			}
 		case op == 4: // restore
 			k := rng.Intn(len(actives))
 			if actives[k].swapped {
-				m.SwapIn(actives[k].id)
+				actives[k].swapIn(m)
 				actives[k].swapped = false
 			}
 		default: // release or drop
 			k := rng.Intn(len(actives))
 			if actives[k].swapped {
-				m.SwapIn(actives[k].id)
+				actives[k].swapIn(m)
 			} else {
-				m.Release(actives[k].id)
+				actives[k].release(m)
 			}
 			actives = append(actives[:k], actives[k+1:]...)
 		}
@@ -416,9 +506,9 @@ func TestBlockRefcountConservationRandomizedWithSwap(t *testing.T) {
 	}
 	for _, r := range actives {
 		if r.swapped {
-			m.SwapIn(r.id)
+			r.swapIn(m)
 		} else {
-			m.Release(r.id)
+			r.release(m)
 		}
 	}
 	if err := m.CheckConservation(); err != nil {
@@ -428,6 +518,7 @@ func TestBlockRefcountConservationRandomizedWithSwap(t *testing.T) {
 		t.Fatalf("blocks still active after releasing everything: %d device, %d swap",
 			m.InUse(), m.SwappedBlocks())
 	}
+	checkDrained(t, m)
 }
 
 func TestBlockManagerRejectsHopelessBudget(t *testing.T) {
@@ -442,59 +533,58 @@ func TestBlockManagerRejectsHopelessBudget(t *testing.T) {
 func TestDedupSavedTokensMatchesOracle(t *testing.T) {
 	// A 40-block pool against up to 9-block prefixes over five identities:
 	// acquires run out of blocks midway, grows evict cached chains, and
-	// crashes flush the cache. After every step DedupSavedTokens must equal
+	// crashes flush the cache. After every step both dedup paths must equal
 	// the set-based oracle on random row subsets, duplicates and pinless
-	// IDs included.
+	// requests included: DedupSavedTokens over the subset's ID-keyed
+	// requests, dedupSavedTokens over its hold-keyed ones.
 	m, err := NewBlockManager(40*64, 16, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.ConfigureSwapPool(16)
 	rng := rand.New(rand.NewSource(20261017))
-	type live struct {
-		id, prefix, prefixLen int
-		swapped               bool
-	}
-	var actives []live
+	var actives, all []walkReq
 	nextID := 0
 	var cutShort, halfBuilt, flushed, swaps, nonzero int
-	acquire := func(r live) {
-		if _, err := m.AcquirePrefix(r.id, prefixHash(r.prefix), r.prefixLen); err != nil {
+	acquire := func(r walkReq) {
+		if _, err := r.acquire(m, prefixHash(r.prefix), r.prefixLen); err != nil {
 			t.Fatal(err)
 		}
-		if m.SharedTokens(r.id) < r.prefixLen/16*16 {
+		if r.sharedTokens(m) < r.prefixLen/16*16 {
 			cutShort++
 		}
 	}
 	for step := 0; step < 6000; step++ {
 		switch op := rng.Intn(10); {
 		case op <= 1 || len(actives) == 0: // admit
-			r := live{id: nextID, prefix: rng.Intn(5) + 1, prefixLen: rng.Intn(9*16 + 8)}
+			r := newWalkReq(nextID)
+			r.prefix, r.prefixLen = rng.Intn(5)+1, rng.Intn(9*16+8)
 			nextID++
 			acquire(r)
-			m.Grow(r.id, r.prefixLen+rng.Intn(32))
+			r.grow(m, r.prefixLen+rng.Intn(32))
 			actives = append(actives, r)
+			all = append(all, r)
 		case op == 2: // decode growth, evicting cached blocks under pressure
 			if r := actives[rng.Intn(len(actives))]; !r.swapped {
-				m.Grow(r.id, r.prefixLen+rng.Intn(256))
+				r.grow(m, r.prefixLen+rng.Intn(256))
 			}
 		case op == 3: // prefill progress
 			if r := actives[rng.Intn(len(actives))]; !r.swapped {
-				m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+				r.markComputed(m, rng.Intn(r.prefixLen+1))
 			}
 		case op == 4: // park
 			k := rng.Intn(len(actives))
-			if !actives[k].swapped && m.SwapOut(actives[k].id, actives[k].prefixLen+rng.Intn(32)+1) {
+			if !actives[k].swapped && actives[k].swapOut(m, actives[k].prefixLen+rng.Intn(32)+1) {
 				actives[k].swapped = true
 				swaps++
 			}
 		case op == 5: // restore: swap in, then re-pin the prefix
 			k := rng.Intn(len(actives))
 			if actives[k].swapped {
-				m.SwapIn(actives[k].id)
+				actives[k].swapIn(m)
 				actives[k].swapped = false
 				acquire(actives[k])
-				m.Grow(actives[k].id, actives[k].prefixLen)
+				actives[k].grow(m, actives[k].prefixLen)
 			}
 		case op == 6 && rng.Intn(20) == 0: // rare crash; other op 6 draws release
 
@@ -505,15 +595,17 @@ func TestDedupSavedTokensMatchesOracle(t *testing.T) {
 			k := rng.Intn(len(actives))
 			r := actives[k]
 			if r.swapped {
-				m.SwapIn(r.id)
+				r.swapIn(m)
 			} else {
-				for _, b := range m.pinned[r.id] {
-					if b.refs == 1 && !b.computed {
-						halfBuilt++
-						break
+				if h := r.hold(m); h != nil {
+					for _, b := range h.pins {
+						if b.refs == 1 && !b.computed {
+							halfBuilt++
+							break
+						}
 					}
 				}
-				m.Release(r.id)
+				r.release(m)
 			}
 			actives = append(actives[:k], actives[k+1:]...)
 		}
@@ -521,22 +613,40 @@ func TestDedupSavedTokensMatchesOracle(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		for trial := 0; trial < 3; trial++ {
-			ids := make([]int, rng.Intn(14))
-			for i := range ids {
+			var ids []int
+			var rows []*reqState
+			var idHolds, rowHolds []*kvHold
+			for n := rng.Intn(14); n > 0; n-- {
+				var r walkReq
 				switch {
 				case len(actives) > 0 && rng.Intn(6) != 0:
-					ids[i] = actives[rng.Intn(len(actives))].id
+					r = actives[rng.Intn(len(actives))]
 				case rng.Intn(2) == 0:
-					ids[i] = nextID + rng.Intn(4) // never admitted
+					r = newWalkReq(nextID + rng.Intn(4)) // never admitted
 				default:
-					ids[i] = rng.Intn(nextID + 1) // likely finished
+					if k := rng.Intn(nextID + 1); k < len(all) {
+						r = all[k] // likely finished
+					} else {
+						r = newWalkReq(k)
+					}
+				}
+				if r.st == nil {
+					ids = append(ids, r.id)
+					idHolds = append(idHolds, r.hold(m))
+				} else {
+					rows = append(rows, r.st)
+					rowHolds = append(rowHolds, r.hold(m))
 				}
 			}
-			got, want := m.DedupSavedTokens(ids), dedupOracle(m, ids)
+			got, want := m.DedupSavedTokens(ids), dedupOracle(t, m, idHolds)
 			if got != want {
 				t.Fatalf("step %d: DedupSavedTokens(%v) = %d, oracle %d", step, ids, got, want)
 			}
-			if want > 0 {
+			gotRows, wantRows := m.dedupSavedTokens(rows), dedupOracle(t, m, rowHolds)
+			if gotRows != wantRows {
+				t.Fatalf("step %d: dedupSavedTokens over %d rows = %d, oracle %d", step, len(rows), gotRows, wantRows)
+			}
+			if want > 0 || wantRows > 0 {
 				nonzero++
 			}
 		}
@@ -614,5 +724,140 @@ func BenchmarkBlockManagerAcquirePrefix(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.Release(100)
+	}
+}
+
+// TestForeignHoldRejected: a non-empty hold belongs to one manager. Every
+// hold method of another manager must refuse it without touching either
+// pool, and a registry that lists a foreign hold fails CheckConservation.
+func TestForeignHoldRejected(t *testing.T) {
+	a, err := NewBlockManager(32*64, 16, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBlockManager(32*64, 16, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.ConfigureSwapPool(8)
+	st := &reqState{}
+	if _, err := a.acquirePrefix(&st.kv, prefixHash(1), 32); err != nil {
+		t.Fatal(err)
+	}
+	if !a.grow(&st.kv, 40) {
+		t.Fatal("grow failed on an empty pool")
+	}
+	h := &st.kv
+	for name, call := range map[string]func(){
+		"grow":             func() { b.grow(h, 41) },
+		"grow (covered)":   func() { b.grow(h, 1) },
+		"release":          func() { b.release(h) },
+		"swapOut":          func() { b.swapOut(h, 40) },
+		"swapIn":           func() { b.swapIn(h) },
+		"acquirePrefix":    func() { b.acquirePrefix(h, prefixHash(2), 32) },
+		"markComputed":     func() { b.markComputed(h, 32) },
+		"dedupSavedTokens": func() { b.dedupSavedTokens([]*reqState{st}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a hold owned by another manager", name)
+				}
+			}()
+			call()
+		}()
+	}
+	for _, m := range []*BlockManager{a, b} {
+		if err := m.CheckConservation(); err != nil {
+			t.Fatalf("a rejected call changed a pool: %v", err)
+		}
+	}
+	if b.InUse() != 0 || len(b.holds) != 0 || a.InUse() != 3 || h.owner != a {
+		t.Fatalf("pools after rejected calls: a in-use %d, b in-use %d, b holds %d", a.InUse(), b.InUse(), len(b.holds))
+	}
+	b.holds = append(b.holds, h)
+	if err := b.CheckConservation(); err == nil {
+		t.Fatal("CheckConservation accepted a registry listing another manager's hold")
+	}
+}
+
+// growBatch is a replica's decode batch at chat-steady shape: 12 rows of
+// 128-token prompts and 32-token outputs, at staggered progress, on
+// 16-token blocks.
+type growBatch struct {
+	m    *BlockManager
+	rows []*reqState
+}
+
+// newGrowBatch admits the rows. With pinned > 0 the manager shares
+// prefixes, and the first pinned rows hold a 112-token prefix (two
+// identities, alternating) and never finish, so dedup has repeat reads to
+// find.
+func newGrowBatch(tb testing.TB, pinned int) *growBatch {
+	tb.Helper()
+	m, err := NewBlockManager(4096*64, 16, 4, pinned > 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := &growBatch{m: m}
+	for i := 0; i < 12; i++ {
+		r := &reqState{req: Request{ID: i, InputLen: 128, OutputLen: 32}, generated: i * 32 / 12}
+		if i < pinned {
+			r.req.OutputLen = 1 << 30
+			if _, err := m.acquirePrefix(&r.kv, prefixHash(i%2+1), 112); err != nil {
+				tb.Fatal(err)
+			}
+			m.markComputed(&r.kv, 112)
+		}
+		g.rows = append(g.rows, r)
+	}
+	return g
+}
+
+// round is one decode round as the scheduler runs it: a grow per row for
+// the token it is about to write, dedup over the rows, then one token per
+// row. A finished row releases its hold and is re-admitted as a fresh
+// request, whose next grow registers the hold again.
+func (g *growBatch) round() int {
+	for _, r := range g.rows {
+		if !g.m.grow(&r.kv, r.ctxTokens()+1) {
+			panic("grow failed on a pool sized for the batch")
+		}
+	}
+	saved := g.m.dedupSavedTokens(g.rows)
+	for _, r := range g.rows {
+		if r.generated++; r.generated >= r.req.OutputLen {
+			g.m.release(&r.kv)
+			r.generated = 0
+		}
+	}
+	return saved
+}
+
+func TestGrowAllocationFree(t *testing.T) {
+	g := newGrowBatch(t, 4)
+	for i := 0; i < 64; i++ { // every churning row finishes at least once
+		g.round()
+	}
+	// Two identities × two rows of 7 blocks: one repeat row each.
+	if got, want := g.round(), 2*7*16; got != want {
+		t.Fatalf("dedup saved %d tokens, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { g.round() }); allocs != 0 {
+		t.Fatalf("a steady-state grow+dedup round allocates %.1f times, want 0", allocs)
+	}
+	if err := g.m.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkBlockManagerGrow times one chat-steady decode round of
+// hold-based grows (12 rows, finished rows released and re-admitted).
+func BenchmarkBlockManagerGrow(b *testing.B) {
+	g := newGrowBatch(b, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.round()
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // phase is a request's lifecycle state.
-type phase int
+type phase uint8
 
 const (
 	phaseWaiting phase = iota
@@ -27,11 +27,20 @@ const (
 	phaseHandoff
 )
 
-// reqState tracks one request through the scheduler.
+// reqState tracks one request through the scheduler. One is allocated per
+// request, so the one-byte fields sit together and share a word.
 type reqState struct {
-	req      Request
-	phase    phase
-	admitSeq int // order of first admission (FIFO audit)
+	req   Request
+	phase phase
+	// swapped marks a preempted request whose computed KV entries are
+	// parked in the host swap pool (swap-to-host preemption);
+	// swappedTokens is how many leading entries the parked copy covers.
+	// Re-admission transfers the copy back instead of recomputing it.
+	swapped bool
+	// admitted marks the first admission (the queue-delay endpoint and the
+	// audit-trail entry), at admittedAt; retried requests keep it across
+	// re-entries.
+	admitted bool
 	// generated counts produced output tokens; survives preemption (the
 	// delivered tokens are not un-delivered, the cache is recomputed).
 	generated   int
@@ -42,23 +51,19 @@ type reqState struct {
 	// preemption, which vLLM-style recompute re-prefills).
 	prefilled     int
 	prefillTarget int
-	// swapped marks a preempted request whose computed KV entries are
-	// parked in the host swap pool (swap-to-host preemption);
-	// swappedTokens is how many leading entries the parked copy covers.
-	// Re-admission transfers the copy back instead of recomputing it.
-	swapped       bool
 	swappedTokens int
-	// admitted marks the first admission (the queue-delay endpoint and the
-	// audit-trail entry); retried requests keep it across re-entries.
-	admitted     bool
-	admittedAt   float64 // first admission time
-	firstTokenAt float64
-	finishedAt   float64
+	admittedAt    float64
+	firstTokenAt  float64
+	finishedAt    float64
 	// deadline is the absolute admission deadline under deadline-aware
 	// admission (renewed per retry attempt); attempt counts retries
 	// consumed from the per-request budget.
 	deadline float64
 	attempt  int
+	// kv is the request's KV-cache holding on the replica it currently runs
+	// on (see kvHold). It is embedded so the per-round block-manager calls
+	// need no lookup by request ID.
+	kv kvHold
 	// acc, in sketch mode, is the outcome ledger of the replica that owns
 	// the request (the one its arrival was dispatched to): the request
 	// folds into it when it finishes or drops, on whichever replica that
@@ -128,10 +133,8 @@ type scheduler struct {
 	// built by iterate are stable until finishIteration consumes them.
 	chunks   []chunkWork
 	decoding []*reqState
-	idBuf    []int
 	finishFn func(*sim.Engine) // cached closure; one alloc per scheduler, not per round
 
-	admitCount int
 	// admitOrder records request IDs in first-admission order when non-nil
 	// (RunAudited's exact-mode audit; nil everywhere else).
 	admitOrder  []int
@@ -376,7 +379,7 @@ func (s *scheduler) iterate() {
 			need++
 		}
 		stalled := false
-		for !s.kv.Grow(r.req.ID, need) {
+		for !s.kv.grow(&r.kv, need) {
 			victim := s.victim()
 			s.preempt(victim, ReasonPrefillStall)
 			chunks = dropChunk(chunks, victim)
@@ -406,7 +409,7 @@ func (s *scheduler) iterate() {
 			i++
 			continue
 		}
-		if s.kv.Grow(r.req.ID, r.ctxTokens()+1) {
+		if s.kv.grow(&r.kv, r.ctxTokens()+1) {
 			decoding = append(decoding, r)
 			i++
 			continue
@@ -458,7 +461,7 @@ func (s *scheduler) iterate() {
 			if pl > target-1 {
 				pl = target - 1
 			}
-			c, err := s.kv.AcquirePrefix(head.req.ID, prefixHash(head.req.PrefixID), pl)
+			c, err := s.kv.acquirePrefix(&head.kv, prefixHash(head.req.PrefixID), pl)
 			if err != nil {
 				s.err = err
 				s.iterating = false
@@ -481,17 +484,15 @@ func (s *scheduler) iterate() {
 		if need == target {
 			need++ // first-token slot (see the continuation pass)
 		}
-		if !s.kv.Grow(head.req.ID, need) {
-			s.kv.Release(head.req.ID) // un-pin the acquired prefix; a swap copy stays parked
+		if !s.kv.grow(&head.kv, need) {
+			s.kv.release(&head.kv) // un-pin the acquired prefix; a swap copy stays parked
 			break
 		}
-		s.kv.creditPrefixStats(head.req.ID, cached)
+		s.kv.creditPrefixStats(&head.kv, cached)
 		s.queue.PopFront()
 		if !head.admitted {
 			head.admitted = true
 			head.admittedAt = now
-			head.admitSeq = s.admitCount
-			s.admitCount++
 			if s.admitOrder != nil {
 				s.admitOrder = append(s.admitOrder, head.req.ID)
 			}
@@ -517,8 +518,8 @@ func (s *scheduler) iterate() {
 			if s.obs != nil {
 				s.swapEvent(EvSwapIn, head.req.ID, in)
 			}
-			s.kv.SwapIn(head.req.ID)
-			s.kv.MarkComputed(head.req.ID, computed)
+			s.kv.swapIn(&head.kv)
+			s.kv.markComputed(&head.kv, computed)
 			head.swapped, head.swappedTokens = false, 0
 			s.swapIns++
 		}
@@ -603,11 +604,11 @@ func (s *scheduler) preempt(r *reqState, reason PreemptReason) {
 	if reason == ReasonCrash {
 		// The device KV dies with the replica: nothing to park, nothing to
 		// swap — the victim recomputes from scratch.
-		s.kv.Release(r.req.ID)
+		s.kv.release(&r.kv)
 		r.prefilled = 0
 		r.prefillTarget = 0
 	} else if !s.trySwapOut(r) {
-		s.kv.Release(r.req.ID)
+		s.kv.release(&r.kv)
 		r.prefilled = 0
 		r.prefillTarget = 0
 	}
@@ -631,7 +632,7 @@ func (s *scheduler) trySwapOut(r *reqState) bool {
 	if s.cfg.PreemptPolicy == PreemptAuto && !s.swapCheaper(r, tokens) {
 		return false
 	}
-	if !s.kv.SwapOut(r.req.ID, tokens) {
+	if !s.kv.swapOut(&r.kv, tokens) {
 		return false // pool full: fall back to recompute
 	}
 	r.swapped = true
@@ -772,12 +773,7 @@ func (s *scheduler) decodeShape(decoding []*reqState) (batch, meanCtx, shared in
 	}
 	meanCtx = (ctx + len(decoding) - 1) / len(decoding)
 	if s.cfg.PrefixSharing {
-		ids := s.idBuf[:0]
-		for _, r := range decoding {
-			ids = append(ids, r.req.ID)
-		}
-		s.idBuf = ids
-		shared = s.kv.DedupSavedTokens(ids)
+		shared = s.kv.dedupSavedTokens(decoding)
 	}
 	return len(decoding), meanCtx, shared
 }
@@ -833,7 +829,7 @@ func (s *scheduler) finishIteration() {
 			return
 		}
 		if r.generated >= r.req.OutputLen {
-			s.kv.Release(r.req.ID)
+			s.kv.release(&r.kv)
 			r.phase = phaseFinished
 			r.finishedAt = now
 			if r.acc != nil {
@@ -871,7 +867,7 @@ func (s *scheduler) finishIteration() {
 			s.event(Event{Kind: EvPrefillChunk, ReqID: r.req.ID, Tokens: cw.tokens, Hist: cw.hist})
 		}
 		r.prefilled += cw.tokens
-		s.kv.MarkComputed(r.req.ID, r.prefilled)
+		s.kv.markComputed(&r.kv, r.prefilled)
 		if !r.prefilling() {
 			produce(r)
 		}

@@ -170,13 +170,16 @@ func (e *Engine) Pending() int { return len(e.events) }
 // Noise generates the latency jitter observed on real systems. TEE runs get
 // extra multiplicative jitter plus rare heavy-tail outliers caused by
 // memory-encryption engine contention, as the paper reports (§III-D:
-// ≈0.64% of samples beyond Z>3 under SGX/TDX).
+// ≈0.64% of samples beyond Z>3 under SGX/TDX). Base and TEEJitter are fixed
+// after NewNoise, which derives the TEE sigma from them once.
 type Noise struct {
 	rng *rand.Rand
 	// Base is the relative stddev of baseline jitter (e.g. 0.01 = 1%).
 	Base float64
 	// TEEJitter is additional relative stddev under a TEE.
 	TEEJitter float64
+	// teeSigma is the combined TEE stddev, sqrt(Base² + TEEJitter²).
+	teeSigma float64
 	// OutlierProb is the probability of a heavy-tail outlier sample.
 	OutlierProb float64
 	// OutlierScale multiplies the sample when an outlier fires.
@@ -189,6 +192,7 @@ func NewNoise(seed int64, base, teeJitter, outlierProb, outlierScale float64) *N
 		rng:          rand.New(rand.NewSource(seed)),
 		Base:         base,
 		TEEJitter:    teeJitter,
+		teeSigma:     math.Sqrt(base*base + teeJitter*teeJitter),
 		OutlierProb:  outlierProb,
 		OutlierScale: outlierScale,
 	}
@@ -199,7 +203,7 @@ func NewNoise(seed int64, base, teeJitter, outlierProb, outlierScale float64) *N
 func (n *Noise) Sample(v float64, tee bool) float64 {
 	sigma := n.Base
 	if tee {
-		sigma = math.Sqrt(n.Base*n.Base + n.TEEJitter*n.TEEJitter)
+		sigma = n.teeSigma
 	}
 	// Lognormal multiplicative jitter keeps samples positive.
 	f := math.Exp(n.rng.NormFloat64()*sigma - sigma*sigma/2)

@@ -104,6 +104,34 @@ func TestNoiseDeterminism(t *testing.T) {
 	}
 }
 
+// TestNoiseTEESigmaMatchesPerCallFormula: NewNoise derives the TEE sigma
+// once; every sample must be bit-identical to the per-call formula, kept
+// here as the oracle on a generator with the same seed.
+func TestNoiseTEESigmaMatchesPerCallFormula(t *testing.T) {
+	for _, p := range []struct{ base, tee, prob, scale float64 }{
+		{0.01, 0.02, 0.005, 5},  // CPU TEE shape
+		{0.005, 0.005, 0, 1},    // GPU shape: no outlier tail
+		{0.013, 0.0071, 0.5, 3}, // frequent outliers, irrational sigma
+	} {
+		n := NewNoise(99, p.base, p.tee, p.prob, p.scale)
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; i < 100000; i++ {
+			tee := i%3 != 0
+			sigma := p.base
+			if tee {
+				sigma = math.Sqrt(p.base*p.base + p.tee*p.tee)
+			}
+			want := 2.5 * math.Exp(rng.NormFloat64()*sigma-sigma*sigma/2)
+			if tee && rng.Float64() < p.prob {
+				want *= p.scale * (1 + rng.Float64())
+			}
+			if got := n.Sample(2.5, tee); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v sample %d (tee=%v): got %v, per-call formula %v", p, i, tee, got, want)
+			}
+		}
+	}
+}
+
 func TestNoiseUnbiasedAndPositive(t *testing.T) {
 	n := NewNoise(3, 0.02, 0, 0, 0)
 	var xs []float64

@@ -255,7 +255,7 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		}
 		coldStart := 0.0
 		if !cfg.NoColdStart {
-			coldStart = autoscale.ColdStartSec(be, wl)
+			coldStart = serve.ColdStartSec(be, wl)
 		}
 		capacity, err := autoscale.ProbeCapacity(be, scfg)
 		if err != nil {

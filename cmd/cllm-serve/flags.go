@@ -39,7 +39,6 @@ type options struct {
 	costBucket   int
 	quantileMode string
 	sketchAlpha  float64
-	epochReqs    int
 	rateMults    string
 	preempt      string
 	format       string
@@ -305,11 +304,6 @@ func flagTable(o *options) []flagSpec {
 				{args: []string{"-sketch-alpha", "1"}, want: "-sketch-alpha"},
 				{args: []string{"-sketch-alpha", "1.5"}, want: "-sketch-alpha"},
 			},
-		},
-		{
-			name:  "epoch-requests",
-			usage: "accepted and ignored (runs keep one arrival pending; negative values are rejected)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.epochReqs, n, 0, u) },
 		},
 		{
 			name:  "rate-mults",

@@ -161,7 +161,6 @@ func main() {
 				PreemptPolicy: o.preemptPol.String(),
 				QuantileMode:  o.quantileMode,
 				SketchAlpha:   o.sketchAlpha,
-				EpochRequests: o.epochReqs,
 				Faults: cllm.FaultConfig{
 					MTBFSec:         o.failMTBF,
 					Plan:            o.failPlan,

@@ -18,10 +18,8 @@ import (
 	"math"
 	"sort"
 
-	"cllm/internal/par"
 	"cllm/internal/serve"
 	"cllm/internal/sim"
-	"cllm/internal/trace"
 )
 
 // Class is one replica flavor of a heterogeneous fleet: a backend
@@ -36,7 +34,7 @@ type Class struct {
 	HourlyUSD float64
 	// ColdStartSec is activation-to-servable latency: instance boot, TEE
 	// memory preparation, weight provisioning and the attestation
-	// round-trip. Use ColdStartSec() to derive it from the platform
+	// round-trip. Use serve.ColdStartSec to derive it from the platform
 	// mechanisms; zero means instantly servable (the counterfactual
 	// baseline the harness compares against).
 	ColdStartSec float64
@@ -48,14 +46,6 @@ type Class struct {
 	// and the target-tracking scaler. Zero means "probe it": Run measures
 	// it with ProbeCapacity before simulating.
 	CapacityReqPerSec float64
-}
-
-// ColdStartSec models provisioning a fresh replica of the backend for a
-// workload. It delegates to serve.ColdStartSec — the same formula prices
-// failure recovery in the scheduler's fault injector, so elasticity and
-// recovery share one cold-start model.
-func ColdStartSec(be serve.Backend, w trace.Workload) float64 {
-	return serve.ColdStartSec(be, w)
 }
 
 // Dispatch selects how arrivals are routed across the active fleet.
@@ -110,10 +100,6 @@ type Config struct {
 	// capacity = demand / TargetUtil (default 0.7). Lower values mean more
 	// headroom — the knob operators turn to absorb cold-start lag.
 	TargetUtil float64
-	// ScaleDownHoldSec is how long the fleet must stay above the desired
-	// size before surplus replicas start draining (default 2 intervals) —
-	// hysteresis against flapping on burst edges.
-	ScaleDownHoldSec float64
 	// DemandAlpha is the EWMA smoothing factor for the scaler's demand
 	// estimate, in (0, 1]: estimate = alpha*instant + (1-alpha)*previous.
 	// 0 means the default 1 — the pure one-window reactive estimator,
@@ -121,13 +107,6 @@ type Config struct {
 	// burst edges: fewer cold starts and less capacity flapping, at the
 	// cost of reacting a window or two late to sustained shifts.
 	DemandAlpha float64
-	// Workers bounds concurrent evaluation of independent sub-simulations —
-	// the per-class capacity probes, each on its own engine with its own
-	// seed. Probe results are assigned by class index and any error is
-	// reported for the lowest erroring class, so every worker count
-	// produces the identical report (tests assert serial/parallel equality).
-	// Default (<= 1) keeps everything on the caller's goroutine.
-	Workers int
 }
 
 func (c *Config) normalize() error {
@@ -139,9 +118,6 @@ func (c *Config) normalize() error {
 	}
 	if c.TargetUtil < 0 || c.TargetUtil > 1 {
 		return fmt.Errorf("autoscale: target utilization %g outside (0, 1]", c.TargetUtil)
-	}
-	if c.ScaleDownHoldSec <= 0 {
-		c.ScaleDownHoldSec = 2 * c.IntervalSec
 	}
 	if c.DemandAlpha == 0 {
 		c.DemandAlpha = 1
@@ -239,17 +215,13 @@ func ProbeCapacity(be serve.Backend, scfg serve.Config) (float64, error) {
 		}
 	}
 	cfg.Scenario = nil
-	// Probes are synthetic side-simulations, possibly run concurrently
-	// (Workers > 1): never feed them to the run's observer — it is not
-	// safe for concurrent use and its timeline should hold only the real
-	// fleet's events.
+	// Probes are synthetic side-simulations: never feed them to the run's
+	// observer — its timeline should hold only the real fleet's events.
 	cfg.Observer = nil
 	// A capacity probe measures the healthy saturated rate: fault injection,
 	// admission shedding and retries would contaminate it with downtime and
 	// turned-away load, so the probe twin runs failure-free and open-door.
 	cfg.Faults = serve.FaultConfig{}
-	cfg.FailMTBFSec, cfg.FailPlan = 0, nil
-	cfg.Admission, cfg.RetryMax = serve.AdmitFIFO, 0
 	// Probes need only Completed and MakespanSec. Sketch mode skips the
 	// per-request ledger and its quantile sort; a trace run's event stream
 	// is identical in both modes, so the measured rate is unchanged.
@@ -280,30 +252,21 @@ func ProbeCapacity(be serve.Backend, scfg serve.Config) (float64, error) {
 	return float64(rep.Completed) / rep.MakespanSec, nil
 }
 
-// probeCapacities fills missing per-class capacities, probing classes
-// concurrently when cfg.Workers > 1. Each probe is an independent
-// simulation on its own engine; results land by class index and the error
-// reported is the lowest erroring class's, so the outcome is identical at
-// any worker count.
+// probeCapacities fills missing per-class capacities, probing the classes
+// in order on the caller's goroutine; each probe is an independent
+// simulation on its own engine.
 func probeCapacities(cls []Class, cfg Config) error {
-	need := make([]int, 0, len(cls))
 	for i := range cls {
-		if cls[i].CapacityReqPerSec <= 0 {
-			need = append(need, i)
+		if cls[i].CapacityReqPerSec > 0 {
+			continue
 		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	return par.For(cfg.Workers, len(need), func(j int) error {
-		i := need[j]
 		cap, err := ProbeCapacity(cls[i].Backend, cfg.Serve)
 		if err != nil {
 			return fmt.Errorf("autoscale: class %s: %w", cls[i].Name, err)
 		}
 		cls[i].CapacityReqPerSec = cap
-		return nil
-	})
+	}
+	return nil
 }
 
 // slot is one provisionable replica instance. Its scheduler (rep) is
@@ -391,7 +354,8 @@ func Run(classes []Class, cfg Config) (*Report, error) {
 	}
 
 	// Normalize a local copy the replicas share (NewReplica normalizes
-	// again idempotently; this fixes defaults like HorizonSec up front).
+	// again, which changes nothing; this fixes defaults like HorizonSec up
+	// front).
 	scfg := cfg.Serve
 	if err := scfg.Normalize(); err != nil {
 		return nil, err
@@ -706,13 +670,13 @@ func (f *fleet) reconcile(now float64, desired []int) {
 			}
 		case activeN > desired[ci]:
 			// Per-class hysteresis: the class must stay over-provisioned
-			// for the whole hold before its surplus drains, so burst-edge
-			// flapping does not buy extra cold starts.
+			// for two control intervals before its surplus drains, so
+			// burst-edge flapping does not buy extra cold starts.
 			if f.overSince[ci] < 0 {
 				f.overSince[ci] = now
 				break
 			}
-			if now-f.overSince[ci] < f.cfg.ScaleDownHoldSec {
+			if now-f.overSince[ci] < 2*f.cfg.IntervalSec {
 				break
 			}
 			surplus := activeN - desired[ci]

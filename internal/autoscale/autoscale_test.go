@@ -53,8 +53,8 @@ func testServeConfig(t *testing.T, requests int) serve.Config {
 
 func TestColdStartSecMechanisms(t *testing.T) {
 	w := testWorkload(t)
-	bm := ColdStartSec(testBackend(tee.Baremetal()), w)
-	tdx := ColdStartSec(testBackend(tee.TDX()), w)
+	bm := serve.ColdStartSec(testBackend(tee.Baremetal()), w)
+	tdx := serve.ColdStartSec(testBackend(tee.TDX()), w)
 	if tdx <= bm {
 		t.Errorf("TDX cold start %.2fs not above baremetal %.2fs", tdx, bm)
 	}
@@ -68,12 +68,12 @@ func TestColdStartSecMechanisms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgx := ColdStartSec(testBackend(sgxPlat), w)
+	sgx := serve.ColdStartSec(testBackend(sgxPlat), w)
 	if sgx <= tdx {
 		t.Errorf("SGX cold start %.2fs not above TDX %.2fs (EADD+EEXTEND is slower than TD accept)", sgx, tdx)
 	}
-	gpu := ColdStartSec(gpuBackend(tee.GPU()), w)
-	cgpu := ColdStartSec(gpuBackend(tee.CGPU()), w)
+	gpu := serve.ColdStartSec(gpuBackend(tee.GPU()), w)
+	cgpu := serve.ColdStartSec(gpuBackend(tee.CGPU()), w)
 	if cgpu <= gpu {
 		t.Errorf("cGPU cold start %.2fs not above GPU %.2fs (bounce-buffered weight upload)", cgpu, gpu)
 	}
@@ -245,28 +245,6 @@ func sgxPlatform() (tee.Platform, error) {
 	return tee.SGX(gramine.DefaultManifest("/models/llama2.bin", 192<<30, 64))
 }
 
-// TestRunParallelProbesMatchSerial: probing class capacities on a worker
-// pool must produce the identical report a serial run does — probes are
-// independent simulations assigned by class index.
-func TestRunParallelProbesMatchSerial(t *testing.T) {
-	classes := []Class{
-		{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, ColdStartSec: 12, Min: 1, Max: 3},
-		{Name: "bm", Backend: testBackend(tee.Baremetal()), HourlyUSD: 1.1, Min: 0, Max: 2},
-	}
-	serial, err := Run(classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel-probed report differs from serial:\nserial  %+v\nparallel %+v",
-			serial.Aggregate, parallel.Aggregate)
-	}
-}
-
 // TestDemandAlphaDefaultBitIdentical: DemandAlpha 0 (default) and an
 // explicit 1 are the pure reactive estimator — the whole report must be
 // bit-identical to a run that never heard of smoothing.
@@ -340,14 +318,14 @@ func TestDemandAlphaValidation(t *testing.T) {
 // autoscaler's replicas — events carry per-slot replica labels and the
 // merged aggregate is reconstructed exactly by the recorded stream.
 func TestAutoscaleObserver(t *testing.T) {
-	rec := obs.NewRecorder()
+	rec := obs.NewRecorderWindow(1, 512)
 	scfg := testServeConfig(t, 96)
 	scfg.Observer = rec
 	classes := []Class{{
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 1, Min: 2, Max: 4,
 	}}
-	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6, Workers: 4})
+	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +346,7 @@ func TestAutoscaleObserver(t *testing.T) {
 // sum to its latency exactly even when slots come and go, and the refolded
 // stream reconciles against the merged aggregate.
 func TestAutoscalePhaseConservation(t *testing.T) {
-	rec := obs.NewRecorder()
+	rec := obs.NewRecorderWindow(1, 512)
 	a, err := obs.NewAttribution(0, false)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +357,7 @@ func TestAutoscalePhaseConservation(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 1, Min: 2, Max: 4,
 	}}
-	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6, Workers: 4})
+	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

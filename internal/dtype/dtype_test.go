@@ -1,6 +1,7 @@
 package dtype
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,42 @@ func TestQuantRoundTripErrorBound(t *testing.T) {
 	}, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Dequantize expands int8 values back to float32 with the given scale: the
+// reference decoder the absmax round-trip tests use.
+func Dequantize(q []int8, scale float32) []float32 {
+	out := make([]float32, len(q))
+	for i, v := range q {
+		out[i] = float32(v) * scale
+	}
+	return out
+}
+
+// DequantizePerChannel reverses QuantizePerChannel: the reference the
+// per-channel round-trip tests decode with.
+func DequantizePerChannel(q []int8, scales []float32, rows, cols int) ([]float32, error) {
+	if rows*cols != len(q) || len(scales) != rows {
+		return nil, fmt.Errorf("dtype: shape %dx%d does not match %d values / %d scales", rows, cols, len(q), len(scales))
+	}
+	out := make([]float32, len(q))
+	for r := 0; r < rows; r++ {
+		s := scales[r]
+		for c := 0; c < cols; c++ {
+			out[r*cols+c] = float32(q[r*cols+c]) * s
+		}
+	}
+	return out, nil
+}
+
+// MaxQuantError returns the worst-case absolute error bound of absmax int8
+// quantization for inputs with the given maximum magnitude: scale/2. It is
+// the bound TestQuantRoundTripErrorBound holds QuantizeAbsmax to.
+func MaxQuantError(maxAbs float32) float32 {
+	if maxAbs == 0 {
+		return 0
+	}
+	return maxAbs / 127 / 2
 }
 
 func TestPerChannelShapes(t *testing.T) {

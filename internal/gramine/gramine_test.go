@@ -7,99 +7,6 @@ import (
 	"testing/quick"
 )
 
-const sampleManifest = `
-# Gramine manifest for the cLLM inference pipeline (cf. paper Fig 2).
-libos.entrypoint = "/usr/bin/python3"
-sgx.enclave_size = "64G"
-sgx.max_threads = 64
-sgx.debug = false
-sgx.trusted_files = ["file:/usr/bin/python3", "file:/usr/lib/libipex.so"]
-fs.encrypted_files = ["file:/models/llama2-7b.bin"]
-fs.key_name = "default"
-loader.env.OMP_NUM_THREADS = "32"  # unknown keys tolerated
-`
-
-func TestParseManifest(t *testing.T) {
-	m, err := ParseManifest(sampleManifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Entrypoint != "/usr/bin/python3" {
-		t.Errorf("Entrypoint = %q", m.Entrypoint)
-	}
-	if m.EnclaveSize != 64<<30 {
-		t.Errorf("EnclaveSize = %d", m.EnclaveSize)
-	}
-	if m.MaxThreads != 64 {
-		t.Errorf("MaxThreads = %d", m.MaxThreads)
-	}
-	if m.Debug {
-		t.Error("Debug = true")
-	}
-	if len(m.TrustedFiles) != 2 || m.TrustedFiles[1] != "file:/usr/lib/libipex.so" {
-		t.Errorf("TrustedFiles = %v", m.TrustedFiles)
-	}
-	if len(m.EncryptedFiles) != 1 {
-		t.Errorf("EncryptedFiles = %v", m.EncryptedFiles)
-	}
-	if m.KeyName != "default" {
-		t.Errorf("KeyName = %q", m.KeyName)
-	}
-}
-
-func TestParseManifestErrors(t *testing.T) {
-	cases := []string{
-		``,                              // missing everything
-		`libos.entrypoint = "/bin/x"`,   // missing enclave size
-		`sgx.enclave_size = "8G"`,       // missing entrypoint
-		`libos.entrypoint = /bin/x`,     // unquoted string
-		`sgx.max_threads = "many"`,      // bad int
-		`sgx.debug = maybe`,             // bad bool
-		`sgx.trusted_files = "file:/x"`, // not an array
-		`sgx.trusted_files = [file:/x]`, // unquoted array element
-		`this is not an assignment`,     // no '='
-		`sgx.enclave_size = "-1G"`,      // negative size
-		"libos.entrypoint = \"/b\"\nsgx.enclave_size = \"1G\"\nsgx.max_threads = 0", // zero threads
-	}
-	for i, c := range cases {
-		if _, err := ParseManifest(c); err == nil {
-			t.Errorf("case %d parsed but should fail:\n%s", i, c)
-		}
-	}
-}
-
-func TestCommentInsideString(t *testing.T) {
-	m, err := ParseManifest(`
-libos.entrypoint = "/opt/app#1/bin"
-sgx.enclave_size = "1G"
-sgx.max_threads = 4
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Entrypoint != "/opt/app#1/bin" {
-		t.Errorf("Entrypoint = %q, # inside string mangled", m.Entrypoint)
-	}
-}
-
-func TestParseSize(t *testing.T) {
-	cases := map[string]int64{
-		"1024": 1024, "4K": 4 << 10, "512M": 512 << 20, "8G": 8 << 30, "2T": 2 << 40,
-		"1k": 1 << 10, "3g": 3 << 30,
-	}
-	for in, want := range cases {
-		got, err := ParseSize(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "G", "12Q3", "abc"} {
-		if _, err := ParseSize(bad); err == nil {
-			t.Errorf("ParseSize(%q) succeeded", bad)
-		}
-	}
-}
-
 func TestDefaultManifestValidates(t *testing.T) {
 	m := DefaultManifest("/models/w.bin", 8<<30, 32)
 	if err := m.Validate(); err != nil {
@@ -215,17 +122,6 @@ func TestKeyDerivationSeparation(t *testing.T) {
 	}
 }
 
-func TestTrustedFileVerify(t *testing.T) {
-	content := []byte("binary bits")
-	h := TrustedFileHash(content)
-	if err := VerifyTrustedFile(content, h); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTrustedFile([]byte("binary bitz"), h); err == nil {
-		t.Error("modified trusted file verified")
-	}
-}
-
 func TestStore(t *testing.T) {
 	key := DeriveKey([]byte("m"), "store")
 	s := NewStore(key)
@@ -242,7 +138,7 @@ func TestStore(t *testing.T) {
 	if _, err := s.Get("/nope"); err == nil {
 		t.Error("missing file read succeeded")
 	}
-	raw, ok := s.Raw("/models/w.bin")
+	raw, ok := s.files["/models/w.bin"]
 	if !ok || bytes.Contains(raw, []byte{1, 2, 3, 4}) {
 		// 4 bytes could appear by chance, but with probability ~2^-30; treat
 		// presence as failure.

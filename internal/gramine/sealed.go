@@ -1,7 +1,6 @@
 package gramine
 
 import (
-	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -97,21 +96,6 @@ func Unseal(key SealKey, sealed []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// TrustedFileHash returns the SHA-256 measurement Gramine records for each
-// trusted file at manifest-generation time and verifies at open time.
-func TrustedFileHash(content []byte) [32]byte {
-	return sha256.Sum256(content)
-}
-
-// VerifyTrustedFile checks content against its recorded measurement.
-func VerifyTrustedFile(content []byte, want [32]byte) error {
-	got := sha256.Sum256(content)
-	if !bytes.Equal(got[:], want[:]) {
-		return fmt.Errorf("gramine: trusted file hash mismatch")
-	}
-	return nil
-}
-
 // Store is an in-memory encrypted file store keyed by path, standing in for
 // the protected filesystem mounts of a Gramine deployment.
 type Store struct {
@@ -141,10 +125,4 @@ func (s *Store) Get(path string) ([]byte, error) {
 		return nil, fmt.Errorf("gramine: no such sealed file %q", path)
 	}
 	return Unseal(s.key, sealed)
-}
-
-// Raw returns the sealed bytes (what an attacker on the host sees).
-func (s *Store) Raw(path string) ([]byte, bool) {
-	b, ok := s.files[path]
-	return b, ok
 }

@@ -228,7 +228,7 @@ func runAutoscale(o Options) (*Result, error) {
 		LowRate: 0.8 * capacity, HighRate: 5 * capacity,
 		LowHoldSec: 60, HighHoldSec: 20,
 	}
-	coldStart := autoscale.ColdStartSec(tdxBE, wl)
+	coldStart := serve.ColdStartSec(tdxBE, wl)
 
 	const maxReplicas = 4
 	sweeps := []autoscaleSweep{

@@ -191,3 +191,35 @@ func TestResultFormatsRoundTrip(t *testing.T) {
 		t.Fatalf("JSON checks/notes round trip: %+v", doc)
 	}
 }
+
+// TestOverloadAdmissionColumn: each overload row's admission cell names the
+// policy that row was run with — a row that shed requests cannot read fifo.
+func TestOverloadAdmissionColumn(t *testing.T) {
+	e, err := Lookup("overload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(Options{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"baseline":         "fifo",
+		"burst+crash fifo": "fifo",
+		"burst+crash shed": "shed",
+		"recovery tdx":     "fifo",
+		"recovery sgx":     "fifo",
+		"recovery cgpu":    "fifo",
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("overload has %d rows, want %d", len(res.Rows), len(want))
+	}
+	for _, row := range res.Rows {
+		if got := row[1]; got != want[row[0]] {
+			t.Errorf("row %q: admission %q, want %q", row[0], got, want[row[0]])
+		}
+		if row[4] != "0" && row[1] == "fifo" {
+			t.Errorf("row %q shed %s requests but reads fifo", row[0], row[4])
+		}
+	}
+}

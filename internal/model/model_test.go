@@ -2,7 +2,6 @@ package model
 
 import (
 	"testing"
-	"testing/quick"
 
 	"cllm/internal/dtype"
 )
@@ -305,17 +304,6 @@ func TestTokenizerPunctuationSplit(t *testing.T) {
 	// "a,b" → BOS + "a" + "," + "b" = 4 tokens.
 	if got := len(tok.Encode("a,b")); got != 4 {
 		t.Errorf("Encode(a,b) = %d tokens, want 4", got)
-	}
-}
-
-func TestEncodeNExactLength(t *testing.T) {
-	tok := NewTokenizer(500)
-	if err := quick.Check(func(n uint8) bool {
-		want := int(n%200) + 1
-		got := tok.EncodeN("some text to tokenize", want)
-		return len(got) == want
-	}, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -42,20 +42,6 @@ func (t *Tokenizer) Encode(text string) []int {
 	return out
 }
 
-// EncodeN returns exactly n tokens: text tokens truncated or padded with a
-// deterministic filler derived from the position, matching the paper's
-// fixed-input-length methodology (e.g. 1024-token prompts).
-func (t *Tokenizer) EncodeN(text string, n int) []int {
-	toks := t.Encode(text)
-	if len(toks) >= n {
-		return toks[:n]
-	}
-	for i := len(toks); i < n; i++ {
-		toks = append(toks, t.tokenID("pad"+string(rune('a'+i%26))))
-	}
-	return toks
-}
-
 func (t *Tokenizer) tokenID(w string) int {
 	h := fnv.New32a()
 	h.Write([]byte(strings.ToLower(w)))

@@ -141,7 +141,7 @@ func TestAttributionFleetConservation(t *testing.T) {
 func TestAttributionSketchedEpochs(t *testing.T) {
 	be, cfg := pressureSetup()
 	cfg.QuantileMode = serve.QuantileSketch
-	rec := NewRecorder()
+	rec := NewRecorderWindow(1, 512)
 	a, err := NewAttribution(0, false)
 	if err != nil {
 		t.Fatal(err)
@@ -422,11 +422,11 @@ func TestMultiObserver(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Fatal("Multi of no observers should be nil")
 	}
-	rec := NewRecorder()
+	rec := NewRecorderWindow(1, 512)
 	if Multi(nil, rec) != serve.Observer(rec) {
 		t.Fatal("Multi of one observer should return it unwrapped")
 	}
-	m := Multi(rec, NewRecorder())
+	m := Multi(rec, NewRecorderWindow(1, 512))
 	ev := serve.Event{Kind: serve.EvArrive, ReqID: 1}
 	m.Event(ev)
 	m.Sample(serve.Sample{TimeSec: 0.5})
@@ -500,7 +500,7 @@ func TestMultiObserverTypedNil(t *testing.T) {
 	if Multi(rec, a) != nil {
 		t.Fatal("Multi of typed nils should be nil")
 	}
-	live := NewRecorder()
+	live := NewRecorderWindow(1, 512)
 	if Multi(rec, live) != serve.Observer(live) {
 		t.Fatal("Multi should drop the typed nil and unwrap the survivor")
 	}

@@ -47,10 +47,6 @@ type Recorder struct {
 	series *TimeSeries
 }
 
-// NewRecorder builds a recorder with the default 1-second sampling window
-// and a 512-window memory bound.
-func NewRecorder() *Recorder { return NewRecorderWindow(1, 512) }
-
 // NewRecorderWindow builds a recorder whose time series starts at
 // windowSec-wide windows and holds at most maxWindows of them per replica:
 // exceeding the bound coalesces adjacent window pairs and doubles the

@@ -56,7 +56,7 @@ func pressureSetup() (serve.Backend, serve.Config) {
 
 func TestRecorderConservationAndCounts(t *testing.T) {
 	be, cfg := pressureSetup()
-	rec := NewRecorder()
+	rec := NewRecorderWindow(1, 512)
 	cfg.Observer = rec
 	rep, err := serve.Run(be, cfg)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Observer = NewRecorder()
+	cfg.Observer = NewRecorderWindow(1, 512)
 	observed, err := serve.Run(be, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestFleetConservationAndByteIdenticalExports(t *testing.T) {
 
 func TestPerfettoTraceWellFormed(t *testing.T) {
 	be, cfg := pressureSetup()
-	rec := NewRecorder()
+	rec := NewRecorderWindow(1, 512)
 	cfg.Observer = rec
 	if _, err := serve.Run(be, cfg); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestTimeseriesCSVShape(t *testing.T) {
 func TestReconcileSketchedReport(t *testing.T) {
 	be, cfg := pressureSetup()
 	cfg.QuantileMode = serve.QuantileSketch
-	rec := NewRecorder()
+	rec := NewRecorderWindow(1, 512)
 	cfg.Observer = rec
 	rep, err := serve.Run(be, cfg)
 	if err != nil {
@@ -362,11 +362,11 @@ func TestWindowCoalescingEdges(t *testing.T) {
 // TestRecorderRecycle: recycled buffers return to the pool without
 // leaking prior state into the next recorder.
 func TestRecorderRecycle(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorderWindow(1, 512)
 	rec.Event(serve.Event{Kind: serve.EvArrive, ReqID: 1})
 	rec.Sample(serve.Sample{TimeSec: 0.5, QueueDepth: 3})
 	rec.Recycle()
-	next := NewRecorder()
+	next := NewRecorderWindow(1, 512)
 	if len(next.Events()) != 0 {
 		t.Fatalf("fresh recorder sees %d stale events", len(next.Events()))
 	}

@@ -96,9 +96,6 @@ func NewGPUStepCoster(cfg GPURun, bucket int) (*StepCoster, error) {
 	}, nil
 }
 
-// Bucket reports the quantization width the coster was built with.
-func (c *StepCoster) Bucket() int { return c.bucket }
-
 // CompatibleWith reports whether the coster's memo keys mean the same
 // thing under the given model, datatype and bucket width — the three
 // inputs that shape every cached value. Callers sharing a coster across
@@ -311,5 +308,5 @@ func (c *StepCoster) stepTime(wl trace.Workload, st trace.StepTrace) float64 {
 	}
 	cfg := c.cpu
 	cfg.Workload = wl
-	return cpuStepTime(cfg, st)
+	return cpuStepTime(&cfg, st)
 }

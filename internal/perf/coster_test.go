@@ -13,6 +13,50 @@ import (
 	"cllm/internal/trace"
 )
 
+// CPUStepTime is the unmemoized per-step cost model the coster must
+// reproduce: the modeled wall-clock duration of one step trace under the
+// configuration, with defaults normalized and no noise.
+func CPUStepTime(cfg CPURun, st trace.StepTrace) (float64, error) {
+	if err := cfg.normalize(); err != nil {
+		return 0, err
+	}
+	return cpuStepTime(&cfg, st), nil
+}
+
+// GPUStepTime is CPUStepTime's GPU counterpart.
+func GPUStepTime(cfg GPURun, st trace.StepTrace) (float64, error) {
+	if err := cfg.Workload.Validate(); err != nil {
+		return 0, err
+	}
+	return gpuStepTime(cfg, st), nil
+}
+
+// CPUPrefillChunkTime is the unmemoized cost of one chunked-prefill step
+// on the CPU configuration: cfg.Workload.InputLen new prompt tokens per row
+// computed on top of hist cached tokens.
+func CPUPrefillChunkTime(cfg CPURun, hist int) (float64, error) {
+	if err := cfg.normalize(); err != nil {
+		return 0, err
+	}
+	st, err := trace.PrefillChunkStepInto(cfg.Workload, hist, nil)
+	if err != nil {
+		return 0, err
+	}
+	return cpuStepTime(&cfg, st), nil
+}
+
+// GPUPrefillChunkTime is CPUPrefillChunkTime's GPU counterpart.
+func GPUPrefillChunkTime(cfg GPURun, hist int) (float64, error) {
+	st, err := trace.PrefillChunkStepInto(cfg.Workload, hist, nil)
+	if err != nil {
+		return 0, err
+	}
+	return gpuStepTime(cfg, st), nil
+}
+
+// Bucket reports the quantization width the coster was built with.
+func (c *StepCoster) Bucket() int { return c.bucket }
+
 func costerCPURun(t *testing.T) CPURun {
 	t.Helper()
 	m, err := model.Lookup("llama2-7b")

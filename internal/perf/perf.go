@@ -81,15 +81,6 @@ func (r *Result) DecodeThroughput() float64 {
 	return float64(r.Tokens) / d
 }
 
-// RawThroughput includes every sample (outliers and all): what a wall-clock
-// measurement without filtering would report.
-func (r *Result) RawThroughput() float64 {
-	if r.TotalSec <= 0 {
-		return 0
-	}
-	return float64(r.Tokens) / r.TotalSec
-}
-
 // MeanTokenLatency returns the outlier-filtered mean next-token latency,
 // replicating the paper's Z>3 filtering.
 func (r *Result) MeanTokenLatency() float64 {
@@ -128,7 +119,7 @@ func RunCPU(cfg CPURun) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.PrefillSec = cpuStepTime(cfg, pre)
+	res.PrefillSec = cpuStepTime(&cfg, pre)
 	res.TotalSec = res.PrefillSec
 
 	w := cfg.Workload
@@ -137,7 +128,7 @@ func RunCPU(cfg CPURun) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := cpuStepTime(cfg, st)
+		t := cpuStepTime(&cfg, st)
 		t = noise.Sample(t, cfg.Platform.Protected)
 		res.TokenLatencies = append(res.TokenLatencies, t)
 		res.TotalSec += t
@@ -149,7 +140,7 @@ func RunCPU(cfg CPURun) (*Result, error) {
 // effectiveMemBW returns the DRAM bandwidth the run can actually use: the
 // socket bandwidth degraded by memory encryption, capped by per-core
 // achievable bandwidth (why Fig 12's throughput plateaus near 32 cores).
-func effectiveMemBW(cfg CPURun) float64 {
+func effectiveMemBW(cfg *CPURun) float64 {
 	perSocket := cfg.CPU.MemBWPerSocket * cfg.Platform.MemBWFactor
 	coreCap := float64(cfg.CoresPerSocket) * PerCoreMemBW
 	if coreCap < perSocket {
@@ -173,7 +164,7 @@ const PerCoreMemBW = 8e9
 // socket's memory the model occupies: a 7B model (14 GB) mostly lands on one
 // node even with broken bindings, while a 70B model (140 GB) necessarily
 // spans sockets, so placement failures hurt it fully (Fig 5 vs Fig 6).
-func spanFactor(cfg CPURun) float64 {
+func spanFactor(cfg *CPURun) float64 {
 	foot := trace.WeightFootprint(cfg.Workload) +
 		trace.KVCacheBytes(cfg.Workload, cfg.Workload.InputLen+cfg.Workload.OutputLen)
 	half := 0.5 * float64(cfg.CPU.MemPerSocketBytes)
@@ -198,7 +189,7 @@ type cpuStepParams struct {
 	perOp                  float64
 }
 
-func newCPUStepParams(cfg CPURun, st trace.StepTrace) cpuStepParams {
+func newCPUStepParams(cfg *CPURun, st trace.StepTrace) cpuStepParams {
 	p := cfg.Platform
 	flops := cfg.CPU.SocketFlops(cfg.Workload.Kind, cfg.AMX, cfg.CoresPerSocket) * float64(cfg.Sockets) * cfg.BackendEfficiency
 	if st.Phase == trace.Prefill {
@@ -244,7 +235,7 @@ func (sp cpuStepParams) opTime(op trace.Op) float64 {
 }
 
 // cpuOpTimes returns the modeled duration of every operator in the step.
-func cpuOpTimes(cfg CPURun, st trace.StepTrace) []float64 {
+func cpuOpTimes(cfg *CPURun, st trace.StepTrace) []float64 {
 	sp := newCPUStepParams(cfg, st)
 	out := make([]float64, len(st.Ops))
 	for i, op := range st.Ops {
@@ -255,8 +246,10 @@ func cpuOpTimes(cfg CPURun, st trace.StepTrace) []float64 {
 
 // cpuStepTime costs one step trace on the CPU configuration. It is the
 // serving scheduler's innermost loop (once per operator per iteration), so
-// it sums op times directly instead of materializing the cpuOpTimes slice.
-func cpuStepTime(cfg CPURun, st trace.StepTrace) float64 {
+// it sums op times directly instead of materializing the cpuOpTimes slice,
+// and it and its helpers take the run by pointer rather than copying the
+// large CPURun on every call.
+func cpuStepTime(cfg *CPURun, st trace.StepTrace) float64 {
 	p := cfg.Platform
 	sp := newCPUStepParams(cfg, st)
 	var total float64
@@ -270,54 +263,6 @@ func cpuStepTime(cfg CPURun, st trace.StepTrace) float64 {
 	// Virtualization tax applies to wall-clock (vCPU scheduling, timers).
 	total *= 1 + p.ComputeTax
 	return total
-}
-
-// CPUStepTime exposes the per-step cost model: the modeled wall-clock
-// duration of one step trace under the configuration, with defaults
-// normalized. The serving scheduler composes steps dynamically (mixed
-// prefill/decode batches whose shape changes every iteration) instead of
-// running fixed generations, so it needs the step cost without the
-// surrounding generation loop. The noise model is deliberately excluded —
-// callers own jitter so one sample covers one scheduler iteration.
-func CPUStepTime(cfg CPURun, st trace.StepTrace) (float64, error) {
-	if err := cfg.normalize(); err != nil {
-		return 0, err
-	}
-	return cpuStepTime(cfg, st), nil
-}
-
-// GPUStepTime is CPUStepTime's GPU counterpart.
-func GPUStepTime(cfg GPURun, st trace.StepTrace) (float64, error) {
-	if err := cfg.Workload.Validate(); err != nil {
-		return 0, err
-	}
-	return gpuStepTime(cfg, st), nil
-}
-
-// CPUPrefillChunkTime costs one chunked-prefill step on the CPU
-// configuration: cfg.Workload.InputLen new prompt tokens per row computed
-// on top of hist cached tokens (earlier chunks or shared-prefix reuse).
-// With hist == 0 it equals the monolithic prompt pass of the same length.
-// The serving scheduler uses this to bound per-iteration prefill work so
-// in-flight decodes keep a steady token cadence.
-func CPUPrefillChunkTime(cfg CPURun, hist int) (float64, error) {
-	if err := cfg.normalize(); err != nil {
-		return 0, err
-	}
-	st, err := trace.PrefillChunkStep(cfg.Workload, hist)
-	if err != nil {
-		return 0, err
-	}
-	return cpuStepTime(cfg, st), nil
-}
-
-// GPUPrefillChunkTime is CPUPrefillChunkTime's GPU counterpart.
-func GPUPrefillChunkTime(cfg GPURun, hist int) (float64, error) {
-	st, err := trace.PrefillChunkStep(cfg.Workload, hist)
-	if err != nil {
-		return 0, err
-	}
-	return gpuStepTime(cfg, st), nil
 }
 
 // OpCost is an operator-kind duration aggregate (Fig 7).
@@ -337,7 +282,7 @@ func DecoderBlockBreakdown(cfg CPURun, ctxLen int) ([]OpCost, error) {
 	if err != nil {
 		return nil, err
 	}
-	times := cpuOpTimes(cfg, st)
+	times := cpuOpTimes(&cfg, st)
 	agg := make(map[trace.OpKind]float64)
 	for i, op := range st.Ops {
 		if op.Layer < 0 {

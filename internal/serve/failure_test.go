@@ -106,12 +106,9 @@ func TestFailureDefaultConfigByteIdentical(t *testing.T) {
 	}
 
 	// The resilience knobs at their zero values must not perturb the
-	// report, whether spelled through the Faults sub-struct or the
-	// deprecated flat fields.
+	// report.
 	cfgZ := cfgP
 	cfgZ.Faults = FaultConfig{Policy: FailRequeue, Admission: AdmitFIFO}
-	cfgZ.FailMTBFSec, cfgZ.FailPlan, cfgZ.FailPolicy = 0, nil, FailRequeue
-	cfgZ.Admission, cfgZ.RetryMax, cfgZ.RetryBaseSec = AdmitFIFO, 0, 0
 	repZ, err := Run(cpuBackend(tee.TDX()), cfgZ)
 	if err != nil {
 		t.Fatal(err)
@@ -214,25 +211,24 @@ func TestFailureRecoveryBillsTEEColdStart(t *testing.T) {
 }
 
 // TestFailureScheduleDeterministic: Poisson failure timing rides a private
-// seeded stream, so equal seeds reproduce the run exactly — whatever the
-// (ignored) EpochRequests — and different seeds move the crash schedule.
+// seeded stream, so equal seeds reproduce the run exactly and different
+// seeds move the crash schedule.
 func TestFailureScheduleDeterministic(t *testing.T) {
-	mk := func(seed int64, epoch int) Config {
+	mk := func(seed int64) Config {
 		cfg := tinyConfig(25, 30)
 		cfg.Seed = seed
 		cfg.Faults.MTBFSec = 2
 		cfg.RecoverySec = 0.2
 		cfg.Faults.RetryMax = 1
 		cfg.Faults.Policy = FailLost
-		cfg.EpochRequests = epoch
 		return cfg
 	}
 	be := cpuBackend(tee.TDX())
-	a, err := Run(be, mk(1, 0))
+	a, err := Run(be, mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(be, mk(1, 0))
+	b, err := Run(be, mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +238,7 @@ func TestFailureScheduleDeterministic(t *testing.T) {
 	if a.Crashes == 0 {
 		t.Fatal("MTBF 2s injected no crashes — the test exercises nothing")
 	}
-	withEpoch, err := Run(be, mk(1, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, withEpoch) {
-		t.Fatalf("setting the ignored EpochRequests changed the run:\n%+v\n%+v", a, withEpoch)
-	}
-	c, err := Run(be, mk(2, 0))
+	c, err := Run(be, mk(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,71 +453,5 @@ func TestShedRetriesThenDrops(t *testing.T) {
 	if rep.Completed != n || rep.Sheds != 0 || rep.Retries != 0 || rep.Dropped != 0 {
 		t.Fatalf("feasible deadlines still shed: completed=%d sheds=%d retries=%d dropped=%d",
 			rep.Completed, rep.Sheds, rep.Retries, rep.Dropped)
-	}
-}
-
-// TestFaultConfigFlatFieldCompat: for one release the deprecated flat
-// spelling of the resilience knobs (FailMTBFSec/FailPlan/FailPolicy/
-// Admission/RetryMax/RetryBaseSec) must drive the scheduler identically
-// to the Faults sub-struct, and normalize's migration fold must be
-// idempotent — replicas re-normalize shared configs.
-func TestFaultConfigFlatFieldCompat(t *testing.T) {
-	var tr []Request
-	for i := 0; i < 16; i++ {
-		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 1e-3, InputLen: 64, OutputLen: 64})
-	}
-	base := Config{
-		Workload:    trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
-		Trace:       tr,
-		MaxBatch:    4,
-		Seed:        1,
-		RecoverySec: 0.1,
-	}
-	flat := base
-	flat.FailPlan = []FailPoint{{TimeSec: 0.05}, {TimeSec: 0.4}}
-	flat.FailPolicy = FailLost
-	flat.RetryMax = 1
-	flat.RetryBaseSec = 0.05
-
-	grouped := base
-	grouped.Faults = FaultConfig{
-		Plan:            []FailPoint{{TimeSec: 0.05}, {TimeSec: 0.4}},
-		Policy:          FailLost,
-		RetryMax:        1,
-		RetryBackoffSec: 0.05,
-	}
-
-	be := cpuBackend(tee.TDX())
-	a, err := Run(be, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(be, grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("flat and grouped spellings diverged:\n%+v\n%+v", a, b)
-	}
-	if a.Crashes == 0 || a.Retries == 0 {
-		t.Fatalf("compat run too mild to prove anything: %d crashes, %d retries", a.Crashes, a.Retries)
-	}
-
-	// The fold is idempotent and mirrors both spellings onto each other.
-	if err := flat.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	once := flat
-	if err := flat.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(once.Faults, flat.Faults) {
-		t.Fatalf("normalize is not idempotent over Faults: %+v vs %+v", once.Faults, flat.Faults)
-	}
-	if flat.Faults.Policy != FailLost || flat.Faults.RetryMax != 1 || flat.Faults.RetryBackoffSec != 0.05 {
-		t.Fatalf("flat fields did not fold into Faults: %+v", flat.Faults)
-	}
-	if flat.FailPolicy != FailLost || flat.RetryMax != 1 || flat.RetryBaseSec != 0.05 {
-		t.Fatalf("resolved Faults did not mirror back to the flat fields: %+v", flat)
 	}
 }

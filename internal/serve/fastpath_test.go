@@ -105,11 +105,11 @@ func TestSizeFleetForSLOParallelMatchesSerial(t *testing.T) {
 	be := cpuBackend(tee.TDX())
 	cfg := tinyConfig(12, 32)
 	cfg.TTFTSLOSec, cfg.TPOTSLOSec = 2, 0.5
-	nSerial, repSerial, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8)
+	nSerial, repSerial, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPar, repPar, err := SizeFleetForSLOParallel(be, cfg, LeastLoaded, 0.9, 8, 4)
+	nPar, repPar, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,16 +181,14 @@ func TestCostBucketApproximatesExact(t *testing.T) {
 	}
 }
 
-// TestSizeFleetForSLOPreservesJitterSentinel: sizing must not normalize
-// the caller's config before handing it to RunFleet — normalize is not
-// idempotent for sentinel values (LengthJitter < 0 means "disabled"; one
-// pass maps it to 0, a second would map 0 to the 0.25 default). The sized
+// TestSizeFleetForSLOPreservesJitterSentinel: sizing must keep the
+// LengthJitter < 0 ("disabled") sentinel of the caller's config; the sized
 // report must equal running the chosen fleet directly.
 func TestSizeFleetForSLOPreservesJitterSentinel(t *testing.T) {
 	be := cpuBackend(tee.Baremetal())
 	cfg := tinyConfig(8, 24)
 	cfg.LengthJitter = -1 // fixed-length requests
-	n, sized, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8)
+	n, sized, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

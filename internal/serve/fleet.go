@@ -552,15 +552,8 @@ func MergeReports(offeredRate float64, reps []*Report) *Report {
 // interference, dispatch skew and prefix-cache locality included — where
 // cloud.ReplicasForRate only extrapolates from one replica's rate. It
 // fails if even maxReplicas cannot reach the target. It evaluates
-// candidates serially; SizeFleetForSLOParallel spreads them over a worker
-// pool with a byte-identical result.
-func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas int) (int, *FleetReport, error) {
-	return SizeFleetForSLOParallel(be, cfg, policy, target, maxReplicas, 1)
-}
-
-// SizeFleetForSLOParallel is SizeFleetForSLO evaluating candidate fleet
-// sizes on up to workers concurrent goroutines (workers <= 0 means
-// runtime.NumCPU(); 1 is the serial path).
+// candidate fleet sizes on up to workers concurrent goroutines (workers
+// <= 0 means runtime.NumCPU(); 1 is the serial path).
 //
 // Attainment is treated as monotone in the fleet size (more replicas never
 // hurt a load-balanced fleet), so the search probes exponentially
@@ -574,7 +567,7 @@ func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, ma
 // cost extra simulations but collapse the sweep's wall clock to about two
 // waves; all candidates share one memoized step-costing table, so most of
 // each speculative run's iteration shapes are table hits.
-func SizeFleetForSLOParallel(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas, workers int) (int, *FleetReport, error) {
+func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas, workers int) (int, *FleetReport, error) {
 	if target <= 0 || target > 1 {
 		return 0, nil, fmt.Errorf("serve: SLO attainment target %g outside (0, 1]", target)
 	}
@@ -584,11 +577,6 @@ func SizeFleetForSLOParallel(be Backend, cfg Config, policy LBPolicy, target flo
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	// Do NOT normalize cfg here: each RunFleet candidate normalizes its own
-	// copy, and normalizing twice is not idempotent for sentinel values
-	// (LengthJitter < 0 means "disabled", which one pass maps to 0 and a
-	// second pass would map to the 0.25 default). NewStepCoster needs only
-	// the model/datatype/bucket fields, which normalization never touches.
 	if be.Coster == nil {
 		coster, err := NewStepCoster(be, cfg)
 		if err != nil {

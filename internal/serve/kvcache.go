@@ -139,7 +139,7 @@ func NewBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sh
 }
 
 // ConfigureSwapPool sizes the host swap pool in blocks. Zero (the default)
-// disables swapping: SwapOut then always fails and the scheduler falls
+// disables swapping: swapOut then always fails and the scheduler falls
 // back to recompute.
 func (m *BlockManager) ConfigureSwapPool(blocks int) {
 	if blocks < 0 {
@@ -205,10 +205,6 @@ func (m *BlockManager) swapIn(h *kvHold) int {
 
 // TotalBlocks returns the pool size.
 func (m *BlockManager) TotalBlocks() int { return m.total }
-
-// FreeBlocks returns the immediately allocatable block count (excluding
-// cached blocks, which are reclaimable but occupied).
-func (m *BlockManager) FreeBlocks() int { return m.free }
 
 // InUse returns the actively held block count: private blocks plus shared
 // blocks with a nonzero refcount. Cached (refcount-zero) blocks are not in
@@ -578,23 +574,6 @@ func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens 
 	return cachedTokens, nil
 }
 
-// SharedTokens returns how many prompt tokens of the request are covered by
-// pinned shared blocks.
-func (m *BlockManager) SharedTokens(reqID int) int {
-	if h := m.byID[reqID]; h != nil {
-		return m.sharedTokens(h)
-	}
-	return 0
-}
-
-// MarkComputed records that the request's prefill has filled its pinned
-// prefix blocks up to `tokens` prompt tokens; see markComputed.
-func (m *BlockManager) MarkComputed(reqID, tokens int) {
-	if h := m.byID[reqID]; h != nil {
-		m.markComputed(h, tokens)
-	}
-}
-
 // Grow ensures the request holds enough blocks for `tokens` cache entries
 // and reports whether the pool could satisfy it, all-or-nothing; see grow.
 func (m *BlockManager) Grow(reqID, tokens int) bool {
@@ -609,24 +588,6 @@ func (m *BlockManager) Grow(reqID, tokens int) bool {
 func (m *BlockManager) Release(reqID int) int {
 	h := m.idHold(reqID)
 	n := m.release(h)
-	m.forget(reqID, h)
-	return n
-}
-
-// SwapOut parks a preempted request's computed KV entries in the host swap
-// pool and releases its device blocks, all-or-nothing; see swapOut.
-func (m *BlockManager) SwapOut(reqID, tokens int) bool {
-	h := m.idHold(reqID)
-	ok := m.swapOut(h, tokens)
-	m.forget(reqID, h)
-	return ok
-}
-
-// SwapIn releases a request's parked swap blocks and returns how many were
-// freed; see swapIn.
-func (m *BlockManager) SwapIn(reqID int) int {
-	h := m.idHold(reqID)
-	n := m.swapIn(h)
 	m.forget(reqID, h)
 	return n
 }

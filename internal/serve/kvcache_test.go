@@ -48,7 +48,8 @@ func dedupOracle(tb testing.TB, m *BlockManager, rows []*kvHold) int {
 
 // walkReq is one simulated request of a randomized walk. Odd IDs go
 // through their own hold, even IDs through the exported request-ID
-// methods, so both paths face the same interleavings.
+// methods (or, for operations with no exported form, through the hold the
+// manager keeps for that ID), so both paths face the same interleavings.
 type walkReq struct {
 	id, prefix, prefixLen int
 	swapped               bool
@@ -87,11 +88,9 @@ func (r walkReq) grow(m *BlockManager, tokens int) bool {
 }
 
 func (r walkReq) markComputed(m *BlockManager, tokens int) {
-	if r.st != nil {
-		m.markComputed(&r.st.kv, tokens)
-		return
+	if h := r.hold(m); h != nil {
+		m.markComputed(h, tokens)
 	}
-	m.MarkComputed(r.id, tokens)
 }
 
 func (r walkReq) release(m *BlockManager) int {
@@ -101,25 +100,32 @@ func (r walkReq) release(m *BlockManager) int {
 	return m.Release(r.id)
 }
 
+// swapOut and swapIn reach an ID-keyed request's hold the way the
+// exported request-ID methods do: created on first use, forgotten once
+// empty.
 func (r walkReq) swapOut(m *BlockManager, tokens int) bool {
 	if r.st != nil {
 		return m.swapOut(&r.st.kv, tokens)
 	}
-	return m.SwapOut(r.id, tokens)
+	h := m.idHold(r.id)
+	defer m.forget(r.id, h)
+	return m.swapOut(h, tokens)
 }
 
 func (r walkReq) swapIn(m *BlockManager) int {
 	if r.st != nil {
 		return m.swapIn(&r.st.kv)
 	}
-	return m.SwapIn(r.id)
+	h := m.idHold(r.id)
+	defer m.forget(r.id, h)
+	return m.swapIn(h)
 }
 
 func (r walkReq) sharedTokens(m *BlockManager) int {
-	if r.st != nil {
-		return m.sharedTokens(&r.st.kv)
+	if h := r.hold(m); h != nil {
+		return m.sharedTokens(h)
 	}
-	return m.SharedTokens(r.id)
+	return 0
 }
 
 // checkDrained asserts that a walk that released everything left no live
@@ -137,8 +143,8 @@ func TestBlockManagerAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TotalBlocks() != 10 || m.FreeBlocks() != 10 {
-		t.Fatalf("pool %d/%d, want 10/10", m.FreeBlocks(), m.TotalBlocks())
+	if m.TotalBlocks() != 10 || m.free != 10 {
+		t.Fatalf("pool %d/%d, want 10/10", m.free, m.TotalBlocks())
 	}
 	if got := m.BlocksFor(1); got != 1 {
 		t.Errorf("BlocksFor(1) = %d", got)
@@ -156,8 +162,8 @@ func TestBlockManagerAccounting(t *testing.T) {
 	if !m.Grow(1, 40) { // 3 blocks
 		t.Fatal("Grow(1, 40) failed with an empty pool")
 	}
-	if m.InUse() != 3 || m.FreeBlocks() != 7 {
-		t.Fatalf("after grow: in-use %d free %d", m.InUse(), m.FreeBlocks())
+	if m.InUse() != 3 || m.free != 7 {
+		t.Fatalf("after grow: in-use %d free %d", m.InUse(), m.free)
 	}
 	if !m.Grow(1, 49) { // 4th block needed past 48 tokens
 		t.Fatal("incremental grow failed")
@@ -183,8 +189,8 @@ func TestBlockManagerAccounting(t *testing.T) {
 	if n := m.Release(1); n != 4 {
 		t.Fatalf("released %d blocks, want 4", n)
 	}
-	if m.InUse() != 0 || m.FreeBlocks() != 10 {
-		t.Fatalf("after release: in-use %d free %d", m.InUse(), m.FreeBlocks())
+	if m.InUse() != 0 || m.free != 10 {
+		t.Fatalf("after release: in-use %d free %d", m.InUse(), m.free)
 	}
 	if m.PeakInUse() != 4 {
 		t.Fatalf("peak %d, want 4", m.PeakInUse())
@@ -207,8 +213,8 @@ func TestPrefixSharingLifecycle(t *testing.T) {
 	if cached != 0 {
 		t.Fatalf("first acquire cached %d tokens, want 0", cached)
 	}
-	if m.SharedTokens(1) != 64 || m.InUse() != 4 {
-		t.Fatalf("pins %d tokens, in-use %d", m.SharedTokens(1), m.InUse())
+	if (walkReq{id: 1}).sharedTokens(m) != 64 || m.InUse() != 4 {
+		t.Fatalf("pins %d tokens, in-use %d", walkReq{id: 1}.sharedTokens(m), m.InUse())
 	}
 	// A concurrent sharer pins the same blocks but gets no hits — they are
 	// not computed yet.
@@ -218,7 +224,7 @@ func TestPrefixSharingLifecycle(t *testing.T) {
 	if m.InUse() != 4 {
 		t.Fatalf("sharer allocated new blocks: in-use %d, want 4", m.InUse())
 	}
-	m.MarkComputed(1, 64)
+	walkReq{id: 1}.markComputed(m, 64)
 	// A later sharer now hits the whole prefix.
 	if cached, _ = m.AcquirePrefix(3, h, 64); cached != 64 {
 		t.Fatalf("computed prefix served %d cached tokens, want 64", cached)
@@ -266,7 +272,7 @@ func TestPrefixNoSharingAcrossDifferentPrefixes(t *testing.T) {
 	if _, err := m.AcquirePrefix(1, prefixHash(1), 64); err != nil {
 		t.Fatal(err)
 	}
-	m.MarkComputed(1, 64)
+	walkReq{id: 1}.markComputed(m, 64)
 	// Same length, different prefix identity: the chained hashes differ at
 	// every block index, so nothing may be served from request 1's blocks.
 	cached, err := m.AcquirePrefix(2, prefixHash(2), 64)
@@ -302,10 +308,10 @@ func TestPrefixCacheEvictionLeafFirst(t *testing.T) {
 	if _, err := m.AcquirePrefix(1, prefixHash(5), 96); err != nil {
 		t.Fatal(err)
 	}
-	m.MarkComputed(1, 96)
+	walkReq{id: 1}.markComputed(m, 96)
 	m.Release(1)
-	if m.CachedBlocks() != 6 || m.FreeBlocks() != 2 {
-		t.Fatalf("cached %d free %d, want 6/2", m.CachedBlocks(), m.FreeBlocks())
+	if m.CachedBlocks() != 6 || m.free != 2 {
+		t.Fatalf("cached %d free %d, want 6/2", m.CachedBlocks(), m.free)
 	}
 	// 4 private blocks needed → 2 free + 2 evicted (the deepest two).
 	if !m.Grow(2, 64) {
@@ -378,8 +384,8 @@ func TestBlockRefcountConservationRandomized(t *testing.T) {
 	if m.InUse() != 0 {
 		t.Fatalf("blocks still active after releasing everything: %d", m.InUse())
 	}
-	if m.FreeBlocks()+m.CachedBlocks() != m.TotalBlocks() {
-		t.Fatalf("free %d + cached %d != total %d", m.FreeBlocks(), m.CachedBlocks(), m.TotalBlocks())
+	if m.free+m.CachedBlocks() != m.TotalBlocks() {
+		t.Fatalf("free %d + cached %d != total %d", m.free, m.CachedBlocks(), m.TotalBlocks())
 	}
 	checkDrained(t, m)
 }
@@ -394,7 +400,7 @@ func TestSwapPoolAccounting(t *testing.T) {
 	if !m.Grow(1, 40) {
 		t.Fatal("grow failed")
 	}
-	if m.SwapOut(1, 40) {
+	if (walkReq{id: 1}).swapOut(m, 40) {
 		t.Fatal("swap-out succeeded with a zero-size pool")
 	}
 	m.ConfigureSwapPool(4)
@@ -407,8 +413,8 @@ func TestSwapPoolAccounting(t *testing.T) {
 	if _, err := m.AcquirePrefix(1, h, 32); err != nil {
 		t.Fatal(err)
 	}
-	m.MarkComputed(1, 32)
-	if !m.SwapOut(1, 40) { // 3 swap blocks
+	walkReq{id: 1}.markComputed(m, 32)
+	if !(walkReq{id: 1}).swapOut(m, 40) { // 3 swap blocks
 		t.Fatal("swap-out rejected with room in the pool")
 	}
 	if m.SwappedBlocks() != 3 || m.PeakSwapBlocks() != 3 {
@@ -421,23 +427,23 @@ func TestSwapPoolAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Double-park is rejected; pool exhaustion is all-or-nothing.
-	if m.SwapOut(1, 16) {
+	if (walkReq{id: 1}).swapOut(m, 16) {
 		t.Fatal("double swap-out accepted")
 	}
 	if !m.Grow(2, 40) {
 		t.Fatal("grow failed")
 	}
-	if m.SwapOut(2, 40) { // needs 3 more blocks, only 1 free in the pool
+	if (walkReq{id: 2}).swapOut(m, 40) { // needs 3 more blocks, only 1 free in the pool
 		t.Fatal("over-capacity swap-out accepted")
 	}
 	if got := m.byID[2].private; got != 3 {
 		t.Fatalf("failed swap-out changed device holdings: %d", got)
 	}
 	// Restore frees the pool; a second restore is a no-op.
-	if n := m.SwapIn(1); n != 3 {
+	if n := (walkReq{id: 1}).swapIn(m); n != 3 {
 		t.Fatalf("swap-in freed %d blocks, want 3", n)
 	}
-	if n := m.SwapIn(1); n != 0 {
+	if n := (walkReq{id: 1}).swapIn(m); n != 0 {
 		t.Fatalf("double swap-in freed %d blocks", n)
 	}
 	if m.SwappedBlocks() != 0 || m.PeakSwapBlocks() != 3 {
@@ -682,7 +688,7 @@ func ragShapeManager(tb testing.TB) (*BlockManager, []int) {
 		if _, err := m.AcquirePrefix(i, prefixHash(i%4+1), prefixTokens); err != nil {
 			tb.Fatal(err)
 		}
-		m.MarkComputed(i, prefixTokens)
+		walkReq{id: i}.markComputed(m, prefixTokens)
 		if !m.Grow(i, prefixTokens+400) {
 			tb.Fatal("grow failed")
 		}

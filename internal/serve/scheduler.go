@@ -508,7 +508,7 @@ func (s *scheduler) iterate() {
 			// just grown. Tokens resident in re-acquired shared blocks skip
 			// the transfer, and republished prefix blocks are filled from
 			// the copy — swapped blocks rejoin the prefix cache without
-			// recompute (MarkComputed makes them hits for later sharers).
+			// recompute (markComputed makes them hits for later sharers).
 			in := restored - cached
 			if in > 0 {
 				s.swapInTok += in

@@ -64,7 +64,7 @@ func ParseQuantileMode(s string) (QuantileMode, error) {
 // DefaultEpochRequests was the arrival-epoch size of sketch-mode runs.
 //
 // Deprecated: runs no longer shard arrivals into epochs (every run keeps
-// one arrival pending; see Config.EpochRequests), so nothing uses it.
+// one arrival pending), so nothing in the simulator uses it.
 const DefaultEpochRequests = 65536
 
 // Request is one arrival in the offered load.
@@ -233,7 +233,8 @@ type Config struct {
 	// synthetic prefix groups (default 0.5 when PrefixGroups is set).
 	PrefixFrac float64
 	// LengthJitter varies synthetic lengths uniformly within ±fraction of
-	// the mean (default 0.25; negative disables, 0 means default).
+	// the mean (0 means the default 0.25; negative disables jitter and is
+	// kept as-is, like SwapPoolFrac).
 	LengthJitter float64
 	// CostBucket is the step-costing quantization width in tokens (see
 	// perf.StepCoster): context and history are costed at their bucket's
@@ -269,43 +270,22 @@ type Config struct {
 	// SketchAlpha is the sketch's relative-error bound in (0, 1); 0 means
 	// stats.DefaultSketchAlpha (1%). Ignored under QuantileExact.
 	SketchAlpha float64
-	// EpochRequests is accepted and ignored (negative values are still
-	// rejected). It sized the arrival epochs runs were once sharded into;
-	// every run now pulls its arrivals one at a time with a single arrival
-	// pending, whatever the quantile mode.
-	EpochRequests int
 	// Observer, when non-nil, receives the per-request lifecycle event
 	// stream and per-round gauge samples (see Observer). Nil — the default —
 	// keeps the scheduler's fast path branch-only and allocation-free. Not
 	// for concurrent runs: see the interface's contract.
 	Observer Observer
 	// Faults groups the fault-injection, admission-control and retry knobs
-	// (see FaultConfig). The six flat fields below are the deprecated
-	// pre-grouping spelling: normalize folds them into Faults when the
-	// sub-struct leaves the knob zero, then mirrors the resolved values
-	// back, so configs written against either spelling behave identically
-	// for one release.
+	// (see FaultConfig).
 	Faults FaultConfig
-	// FailMTBFSec is deprecated: set Faults.MTBFSec.
-	FailMTBFSec float64
-	// FailPlan is deprecated: set Faults.Plan.
-	FailPlan []FailPoint
-	// FailPolicy is deprecated: set Faults.Policy.
-	FailPolicy FailurePolicy
 	// RecoverySec is the crash-to-servable recovery time; 0 — the default —
 	// derives the platform's full TEE cold start (ColdStartSec: boot +
 	// weight load + TD accept/enclave build + attestation RTT).
 	RecoverySec float64
-	// Admission is deprecated: set Faults.Admission.
-	Admission AdmissionPolicy
 	// DeadlineSec is the interactive-class deadline measured from arrival
 	// (standard requests get 4×, background 16× — see RequestClass); 0
 	// defaults to TTFTSLOSec. Only meaningful under AdmitDeadline/AdmitShed.
 	DeadlineSec float64
-	// RetryMax is deprecated: set Faults.RetryMax.
-	RetryMax int
-	// RetryBaseSec is deprecated: set Faults.RetryBackoffSec.
-	RetryBaseSec float64
 	// ClearCoster, when non-nil alongside Observer, prices every round's
 	// step shapes a second time on the platform's clear-hardware twin (see
 	// tee.Platform.Clear and NewClearStepCoster) and emits the results on
@@ -317,8 +297,7 @@ type Config struct {
 
 // FaultConfig groups the serving run's resilience knobs: fault injection,
 // queue-admission policy and the retry budget. It embeds in Config as
-// Faults; the matching flat Config fields are deprecated and folded in by
-// normalize for one release.
+// Faults.
 type FaultConfig struct {
 	// MTBFSec injects replica failures as a Poisson process with this
 	// mean time between failures (simulated seconds, per replica, drawn
@@ -427,11 +406,10 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("serve: prefix fraction %g outside [0, 1)", c.PrefixFrac)
 		}
 	}
-	switch {
-	case c.LengthJitter == 0:
+	// Negative LengthJitter (disabled) is kept as-is for the same reason
+	// as SwapPoolFrac; the arrival generator treats ≤0 as no jitter.
+	if c.LengthJitter == 0 {
 		c.LengthJitter = 0.25
-	case c.LengthJitter < 0:
-		c.LengthJitter = 0
 	}
 	if c.TTFTSLOSec <= 0 {
 		c.TTFTSLOSec = 5
@@ -467,31 +445,6 @@ func (c *Config) normalize() error {
 		c.SketchAlpha = stats.DefaultSketchAlpha
 	case c.SketchAlpha < 0 || c.SketchAlpha >= 1:
 		return fmt.Errorf("serve: sketch alpha %g outside (0, 1)", c.SketchAlpha)
-	}
-	if c.EpochRequests < 0 {
-		return fmt.Errorf("serve: epoch size %d is negative", c.EpochRequests)
-	}
-	// One-release migration: the deprecated flat fields fill their Faults
-	// counterparts wherever the sub-struct left the knob zero, then the
-	// resolved values mirror back so readers of either spelling agree.
-	// Both steps are no-ops on a re-normalized config (idempotent).
-	if c.Faults.MTBFSec == 0 {
-		c.Faults.MTBFSec = c.FailMTBFSec
-	}
-	if c.Faults.Plan == nil {
-		c.Faults.Plan = c.FailPlan
-	}
-	if c.Faults.Policy == FailRequeue {
-		c.Faults.Policy = c.FailPolicy
-	}
-	if c.Faults.Admission == AdmitFIFO {
-		c.Faults.Admission = c.Admission
-	}
-	if c.Faults.RetryMax == 0 {
-		c.Faults.RetryMax = c.RetryMax
-	}
-	if c.Faults.RetryBackoffSec == 0 {
-		c.Faults.RetryBackoffSec = c.RetryBaseSec
 	}
 	if c.Faults.MTBFSec < 0 {
 		return fmt.Errorf("serve: failure MTBF %g is negative", c.Faults.MTBFSec)
@@ -529,8 +482,6 @@ func (c *Config) normalize() error {
 	case c.Faults.RetryBackoffSec == 0 && c.Faults.RetryMax > 0:
 		c.Faults.RetryBackoffSec = 1
 	}
-	c.FailMTBFSec, c.FailPlan, c.FailPolicy = c.Faults.MTBFSec, c.Faults.Plan, c.Faults.Policy
-	c.Admission, c.RetryMax, c.RetryBaseSec = c.Faults.Admission, c.Faults.RetryMax, c.Faults.RetryBackoffSec
 	return nil
 }
 

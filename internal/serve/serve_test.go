@@ -46,6 +46,42 @@ func mustLookup(t *testing.T, name string) model.Config {
 	return cfg
 }
 
+// TestNormalizeIdempotent: normalizing a normalized config changes
+// nothing, sentinels included — replicas, fleets and the autoscaler all
+// re-normalize configs their callers already normalized.
+func TestNormalizeIdempotent(t *testing.T) {
+	diurnal, err := workload.ParseScenario("diurnal", 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jitterOff := tinyConfig(10, 20)
+	jitterOff.LengthJitter = -1
+	swapOff := tinyConfig(10, 20)
+	swapOff.PreemptPolicy, swapOff.SwapPoolFrac = PreemptSwap, -1
+	scenario := tinyConfig(0, 20)
+	scenario.Scenario = &diurnal
+	faults := tinyConfig(10, 20)
+	faults.Faults = FaultConfig{Plan: []FailPoint{{Replica: 0, TimeSec: 1}}, Policy: FailLost, Admission: AdmitShed, RetryMax: 2}
+	sketch := tinyConfig(10, 20)
+	sketch.QuantileMode = QuantileSketch
+	for name, cfg := range map[string]Config{
+		"jitter-off": jitterOff, "swap-pool-off": swapOff, "scenario": scenario,
+		"fault-plan-retries": faults, "sketch": sketch,
+	} {
+		once := cfg
+		if err := once.normalize(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		twice := once
+		if err := twice.normalize(); err != nil {
+			t.Fatalf("%s: second pass: %v", name, err)
+		}
+		if !reflect.DeepEqual(once, twice) {
+			t.Errorf("%s: normalize is not idempotent:\nonce  %+v\ntwice %+v", name, once, twice)
+		}
+	}
+}
+
 func TestServeCompletesAndConservesBlocks(t *testing.T) {
 	rep, err := Run(cpuBackend(tee.Baremetal()), tinyConfig(20, 40))
 	if err != nil {
@@ -449,14 +485,14 @@ func TestFleetCostAndSizing(t *testing.T) {
 	if usd <= 0 {
 		t.Fatalf("fleet cost %.4f $/Mtok", usd)
 	}
-	n, sized, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 0.9, 4)
+	n, sized, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 0.9, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n < 1 || n > 4 || sized.SLOAttainment() < 0.9 {
 		t.Fatalf("sizing: %d replicas at %.2f attainment", n, sized.SLOAttainment())
 	}
-	if _, _, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 1.5, 4); err == nil {
+	if _, _, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 1.5, 4, 1); err == nil {
 		t.Error("impossible attainment target accepted")
 	}
 }
@@ -602,7 +638,7 @@ func TestSizeFleetForSLOMatchesLinearScan(t *testing.T) {
 	if linear == 0 {
 		t.Skip("workload cannot reach target within maxN; pick a gentler rate")
 	}
-	n, fr, err := SizeFleetForSLO(be, cfg, LeastLoaded, target, maxN)
+	n, fr, err := SizeFleetForSLO(be, cfg, LeastLoaded, target, maxN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,36 +87,6 @@ func stripSketches(rep *Report) *Report {
 	return &c
 }
 
-// TestSketchEpochInvariance: EpochRequests is accepted and ignored — the
-// sketched report, sketches included, is the same whatever it is set to.
-func TestSketchEpochInvariance(t *testing.T) {
-	diurnal, err := workload.ParseScenario("diurnal", 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarioCfg := tinyConfig(30, 300)
-	scenarioCfg.Scenario = &diurnal
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"poisson", tinyConfig(30, 300)},
-		{"scenario", scenarioCfg},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			want := runSketch(t, tc.cfg)
-			for _, epoch := range []int{1, 64, 1 << 20} {
-				c := tc.cfg
-				c.EpochRequests = epoch
-				if got := runSketch(t, c); !reflect.DeepEqual(got, want) {
-					t.Fatalf("EpochRequests %d changed the sketched report\n got %+v\nwant %+v",
-						epoch, stripSketches(got), stripSketches(want))
-				}
-			}
-		})
-	}
-}
-
 // exactRankOf is the order statistic the sketch's error bound is stated
 // against: the element of rank floor(q·(n−1)).
 func exactRankOf(sorted []float64, q float64) float64 {

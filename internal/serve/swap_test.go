@@ -206,11 +206,11 @@ func TestAutoPolicyDeterministicAcrossRunsAndWorkers(t *testing.T) {
 
 	sloCfg := cfg
 	sloCfg.TTFTSLOSec, sloCfg.TPOTSLOSec = 2, 0.5
-	nSerial, repSerial, err := SizeFleetForSLOParallel(be, sloCfg, LeastLoaded, 0.9, 8, 1)
+	nSerial, repSerial, err := SizeFleetForSLO(be, sloCfg, LeastLoaded, 0.9, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPar, repPar, err := SizeFleetForSLOParallel(be, sloCfg, LeastLoaded, 0.9, 8, 4)
+	nPar, repPar, err := SizeFleetForSLO(be, sloCfg, LeastLoaded, 0.9, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

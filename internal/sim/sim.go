@@ -164,9 +164,6 @@ func (e *Engine) RunUntil(horizon Time, maxSteps int64) (remaining int, err erro
 	return 0, nil
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Noise generates the latency jitter observed on real systems. TEE runs get
 // extra multiplicative jitter plus rare heavy-tail outliers caused by
 // memory-encryption engine contention, as the paper reports (§III-D:

@@ -183,8 +183,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remaining != 2 || e.Pending() != 2 {
-		t.Fatalf("remaining = %d (pending %d), want 2", remaining, e.Pending())
+	if remaining != 2 || len(e.events) != 2 {
+		t.Fatalf("remaining = %d (pending %d), want 2", remaining, len(e.events))
 	}
 	if len(fired) != 3 || fired[2] != 3 {
 		t.Fatalf("fired = %v, want [1 2 3]", fired)

@@ -1,11 +1,10 @@
 // Package stats provides the summary statistics used throughout the
 // benchmark harness: mean/stddev/percentiles, the Z-score outlier filter the
-// paper applies to per-token latency samples (§III-D, Z > 3), violin-style
-// five-number summaries, and simple linear fits for trend checks.
+// paper applies to per-token latency samples (§III-D, Z > 3), and the
+// overhead conventions the paper reports.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -82,39 +81,6 @@ func FilterZScore(xs []float64, z float64) (kept []float64, removed int) {
 	return kept, removed
 }
 
-// Summary is a violin-plot style five-number summary plus moments.
-type Summary struct {
-	N                  int
-	Mean, Std          float64
-	Min, P25, P50, P75 float64
-	Max                float64
-}
-
-// Summarize computes a Summary of the samples.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  sorted[0],
-		P25:  Percentile(xs, 25),
-		P50:  Percentile(xs, 50),
-		P75:  Percentile(xs, 75),
-		Max:  sorted[len(sorted)-1],
-	}
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g±%.2g [%.4g %.4g %.4g %.4g %.4g]",
-		s.N, s.Mean, s.Std, s.Min, s.P25, s.P50, s.P75, s.Max)
-}
-
 // OverheadPct returns (x-base)/base in percent; the sign convention matches
 // the paper (positive = slower / lower throughput than baseline).
 func OverheadPct(base, x float64) float64 {
@@ -131,37 +97,4 @@ func ThroughputOverheadPct(base, x float64) float64 {
 		return 0
 	}
 	return (base - x) / base * 100
-}
-
-// LinearFit returns slope and intercept of the least-squares line y = a*x+b.
-func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, fmt.Errorf("stats: LinearFit needs >=2 paired points, got %d/%d", len(xs), len(ys))
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var num, den float64
-	for i := range xs {
-		num += (xs[i] - mx) * (ys[i] - my)
-		den += (xs[i] - mx) * (xs[i] - mx)
-	}
-	if den == 0 {
-		return 0, 0, fmt.Errorf("stats: LinearFit with constant x")
-	}
-	slope = num / den
-	return slope, my - slope*mx, nil
-}
-
-// GeoMean returns the geometric mean of positive samples.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

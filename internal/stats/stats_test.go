@@ -79,19 +79,6 @@ func TestFilterZScore(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("bad summary: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Error("Summarize(nil) not zero")
-	}
-}
-
 func TestOverheadConventions(t *testing.T) {
 	// Latency: higher is worse, positive overhead.
 	if got := OverheadPct(100, 110); got != 10 {
@@ -103,36 +90,6 @@ func TestOverheadConventions(t *testing.T) {
 	}
 	if OverheadPct(0, 5) != 0 || ThroughputOverheadPct(0, 5) != 0 {
 		t.Error("zero-base overheads not guarded")
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{3, 5, 7, 9} // y = 2x + 1
-	slope, intercept, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(slope-2) > 1e-9 || math.Abs(intercept-1) > 1e-9 {
-		t.Errorf("fit = %g x + %g, want 2x+1", slope, intercept)
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("LinearFit with one point succeeded")
-	}
-	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 5}); err == nil {
-		t.Error("LinearFit with constant x succeeded")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %g, want 2", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with negative input not guarded")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package tensor is a minimal dense float32 tensor library implementing the
-// operators a Llama-family decoder needs: blocked matmul, softmax, RMSNorm,
+// operators a Llama-family decoder needs: matmul, softmax, RMSNorm,
 // SiLU, rotary position embeddings, and reductions. It is deliberately
 // simple and allocation-aware; correctness is checked against naive
 // reference implementations in the tests.
@@ -43,9 +43,6 @@ func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 // NumElements returns the total element count.
 func (t *Tensor) NumElements() int { return len(t.Data) }
 
-// Dim returns shape[i].
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // At returns the element at the given indices (2-D only, convenience).
 func (t *Tensor) At(i, j int) float32 {
 	return t.Data[i*t.Shape[1]+j]
@@ -67,44 +64,6 @@ func (t *Tensor) Clone() *Tensor {
 	out := New(t.Shape...)
 	copy(out.Data, t.Data)
 	return out
-}
-
-const matmulBlock = 64
-
-// MatMul computes C = A×B for A (m×k) and B (k×n) into a new m×n tensor.
-// The inner loops are blocked for cache locality; this is the kernel that
-// dominates LLM inference time (the paper's linear/attention layers).
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		return nil, fmt.Errorf("tensor: MatMul requires 2-D operands, got %v and %v", a.Shape, b.Shape)
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		return nil, fmt.Errorf("tensor: MatMul inner dimensions %d and %d differ", k, k2)
-	}
-	c := New(m, n)
-	for i0 := 0; i0 < m; i0 += matmulBlock {
-		iMax := min(i0+matmulBlock, m)
-		for k0 := 0; k0 < k; k0 += matmulBlock {
-			kMax := min(k0+matmulBlock, k)
-			for i := i0; i < iMax; i++ {
-				ar := a.Data[i*k : (i+1)*k]
-				cr := c.Data[i*n : (i+1)*n]
-				for kk := k0; kk < kMax; kk++ {
-					av := ar[kk]
-					if av == 0 {
-						continue
-					}
-					br := b.Data[kk*n : (kk+1)*n]
-					for j := range br {
-						cr[j] += av * br[j]
-					}
-				}
-			}
-		}
-	}
-	return c, nil
 }
 
 // MatMulTransposed computes C = A×Bᵀ for A (m×k) and B (n×k). Weight
@@ -155,24 +114,6 @@ func Mul(a, b *Tensor) (*Tensor, error) {
 		a.Data[i] *= b.Data[i]
 	}
 	return a, nil
-}
-
-// Scale multiplies every element by s in place and returns t.
-func Scale(t *Tensor, s float32) *Tensor {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-	return t
-}
-
-// SoftmaxRows applies a numerically-stable softmax to each row of a 2-D
-// tensor in place.
-func SoftmaxRows(t *Tensor) {
-	rows, cols := t.Shape[0], t.Shape[1]
-	for r := 0; r < rows; r++ {
-		row := t.Data[r*cols : (r+1)*cols]
-		SoftmaxInPlace(row)
-	}
 }
 
 // SoftmaxInPlace applies a numerically-stable softmax to a vector in place.

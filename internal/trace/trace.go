@@ -84,15 +84,6 @@ type Op struct {
 // Bytes returns total memory traffic of the op.
 func (o Op) Bytes() float64 { return o.WeightBytes + o.ActBytes + o.KVBytes }
 
-// ArithmeticIntensity returns FLOPs per byte moved.
-func (o Op) ArithmeticIntensity() float64 {
-	b := o.Bytes()
-	if b == 0 {
-		return 0
-	}
-	return o.FLOPs / b
-}
-
 // Workload describes an inference configuration to trace.
 type Workload struct {
 	Model model.Config
@@ -208,20 +199,16 @@ func PrefillStep(w Workload) (StepTrace, error) {
 	return buildStep(w, Prefill, w.InputLen, 0), nil
 }
 
-// PrefillChunkStep builds the operator trace of one chunked-prefill step:
-// w.InputLen new prompt tokens per row computed on top of hist tokens whose
-// KV entries already exist (earlier chunks, or blocks reused from a shared
-// prefix cache). With hist == 0 it is exactly PrefillStep. Chunk tokens
-// attend to the full cached history, so attention FLOPs and KV read traffic
-// grow with hist while projection/MLP work scales only with the chunk —
-// this is what makes late chunks of a long prompt more memory-bound than
-// early ones, and what a prefix-cache hit avoids entirely.
-func PrefillChunkStep(w Workload, hist int) (StepTrace, error) {
-	return PrefillChunkStepInto(w, hist, nil)
-}
-
-// PrefillChunkStepInto is PrefillChunkStep reusing ops' backing array (see
-// DecodeStepInto for the aliasing contract).
+// PrefillChunkStepInto builds the operator trace of one chunked-prefill
+// step: w.InputLen new prompt tokens per row computed on top of hist tokens
+// whose KV entries already exist (earlier chunks, or blocks reused from a
+// shared prefix cache). With hist == 0 it is exactly PrefillStep. Chunk
+// tokens attend to the full cached history, so attention FLOPs and KV read
+// traffic grow with hist while projection/MLP work scales only with the
+// chunk — this is what makes late chunks of a long prompt more
+// memory-bound than early ones, and what a prefix-cache hit avoids
+// entirely. It reuses ops' backing array (see DecodeStepInto for the
+// aliasing contract; nil allocates).
 func PrefillChunkStepInto(w Workload, hist int, ops []Op) (StepTrace, error) {
 	if err := w.Validate(); err != nil {
 		return StepTrace{}, err
@@ -353,28 +340,6 @@ func buildStepInto(w Workload, phase Phase, chunk, hist int, ops []Op) StepTrace
 		WorkingSet:  h * v * elem,
 	})
 	return st
-}
-
-// GenerationTrace returns the prefill step plus one decode step per output
-// token, with the context growing as tokens are emitted.
-func GenerationTrace(w Workload) ([]StepTrace, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	steps := make([]StepTrace, 0, w.OutputLen+1)
-	pre, err := PrefillStep(w)
-	if err != nil {
-		return nil, err
-	}
-	steps = append(steps, pre)
-	for i := 0; i < w.OutputLen; i++ {
-		dec, err := DecodeStep(w, w.InputLen+i)
-		if err != nil {
-			return nil, err
-		}
-		steps = append(steps, dec)
-	}
-	return steps, nil
 }
 
 // KVSwapBytes returns the bytes one swap transfer of `tokens` KV-cache

@@ -149,9 +149,17 @@ func TestBeamScalesComputeNotTokens(t *testing.T) {
 
 func TestGenerationTraceSteps(t *testing.T) {
 	w := wl(t, "llama2-7b", dtype.BF16, 2, 1, 64, 16)
-	steps, err := GenerationTrace(w)
+	pre, err := PrefillStep(w)
 	if err != nil {
 		t.Fatal(err)
+	}
+	steps := []StepTrace{pre}
+	for i := 0; i < w.OutputLen; i++ {
+		dec, err := DecodeStep(w, w.InputLen+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, dec)
 	}
 	if len(steps) != 17 {
 		t.Fatalf("steps = %d, want 17", len(steps))
@@ -199,11 +207,11 @@ func TestNormsAreMemoryBound(t *testing.T) {
 	for _, o := range st.Ops {
 		switch o.Kind {
 		case OpInputNorm, OpPostNorm:
-			if ai := o.ArithmeticIntensity(); ai > 4 {
+			if ai := o.FLOPs / o.Bytes(); ai > 4 {
 				t.Errorf("%v arithmetic intensity %.1f, expected memory-bound (<4)", o.Kind, ai)
 			}
 		case OpLinearSiluMul:
-			if ai := o.ArithmeticIntensity(); ai < 1 {
+			if ai := o.FLOPs / o.Bytes(); ai < 1 {
 				t.Errorf("%v arithmetic intensity %.2f unexpectedly low", o.Kind, ai)
 			}
 		}

@@ -95,10 +95,6 @@ type ServeConfig struct {
 	// SketchAlpha is the sketch's relative error bound (0 = default 0.01).
 	// Only meaningful with QuantileMode "sketch".
 	SketchAlpha float64
-	// EpochRequests is accepted and ignored (negative values are still
-	// rejected): every run pulls its arrivals one at a time with a single
-	// arrival pending, so there are no arrival epochs to size.
-	EpochRequests int
 	// Observe records the run's per-request lifecycle event stream and
 	// windowed time series and attaches the rendered artifacts (Perfetto
 	// trace, Prometheus snapshot, CSV time series) to the report as
@@ -110,22 +106,8 @@ type ServeConfig struct {
 	// doubles.
 	ObserveWindowSec float64
 	// Faults groups the fault-injection, admission-control and retry knobs
-	// (see FaultConfig). The six flat fields below are the deprecated
-	// pre-grouping spelling, still honored for one release: Serve folds
-	// them into Faults wherever the sub-struct leaves the knob zero.
+	// (see FaultConfig).
 	Faults FaultConfig
-	// FailMTBFSec is deprecated: set Faults.MTBFSec.
-	FailMTBFSec float64
-	// FailPlan is deprecated: set Faults.Plan.
-	FailPlan string
-	// FailPolicy is deprecated: set Faults.Policy.
-	FailPolicy string
-	// Admission is deprecated: set Faults.Admission.
-	Admission string
-	// RetryMax is deprecated: set Faults.RetryMax.
-	RetryMax int
-	// RetryBackoffSec is deprecated: set Faults.RetryBackoffSec.
-	RetryBackoffSec float64
 	// Attribution folds the run's event stream into per-request phase
 	// vectors (queue wait, prefill, decode, preemption stall, swap
 	// transfer — summing exactly to each request's latency) and prices a
@@ -293,26 +275,6 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One-release migration: the deprecated flat fault fields fill their
-	// Faults counterparts wherever the sub-struct leaves the knob zero.
-	if cfg.Faults.MTBFSec == 0 {
-		cfg.Faults.MTBFSec = cfg.FailMTBFSec
-	}
-	if cfg.Faults.Plan == "" {
-		cfg.Faults.Plan = cfg.FailPlan
-	}
-	if cfg.Faults.Policy == "" {
-		cfg.Faults.Policy = cfg.FailPolicy
-	}
-	if cfg.Faults.Admission == "" {
-		cfg.Faults.Admission = cfg.Admission
-	}
-	if cfg.Faults.RetryMax == 0 {
-		cfg.Faults.RetryMax = cfg.RetryMax
-	}
-	if cfg.Faults.RetryBackoffSec == 0 {
-		cfg.Faults.RetryBackoffSec = cfg.RetryBackoffSec
-	}
 	failPolicy, err := serve.ParseFailurePolicy(cfg.Faults.Policy)
 	if err != nil {
 		return nil, err
@@ -344,7 +306,6 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		TPOTSLOSec:    cfg.TPOTSLOSec,
 		QuantileMode:  qmode,
 		SketchAlpha:   cfg.SketchAlpha,
-		EpochRequests: cfg.EpochRequests,
 		Faults: serve.FaultConfig{
 			MTBFSec:         cfg.Faults.MTBFSec,
 			Plan:            failPlan,

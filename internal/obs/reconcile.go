@@ -196,12 +196,8 @@ func ReconcileReport(events []serve.Event, rep *serve.Report) []string {
 	checkQ := func(name string, xs []float64, got serve.Quantiles) {
 		want := serve.Quantiles{}
 		if len(xs) > 0 {
-			want = serve.Quantiles{
-				Mean: stats.Mean(xs),
-				P50:  stats.Percentile(xs, 50),
-				P95:  stats.Percentile(xs, 95),
-				P99:  stats.Percentile(xs, 99),
-			}
+			ps := stats.Percentiles(xs, 50, 95, 99)
+			want = serve.Quantiles{Mean: stats.Mean(xs), P50: ps[0], P95: ps[1], P99: ps[2]}
 		}
 		if want != got {
 			mismatch("%s quantiles: events reconstruct %+v, report has %+v", name, want, got)

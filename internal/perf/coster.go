@@ -51,8 +51,21 @@ type StepCoster struct {
 	ops    []trace.Op      // miss-path scratch, guarded by mu (write lock)
 }
 
-// costKey identifies one step shape after bucketing.
-type costKey struct{ batch, a, b int }
+// costKey identifies one step shape after bucketing, packed into 64 bits
+// (see shapeKey) so a table lookup takes the runtime's 64-bit-key map path
+// instead of hashing a three-word struct.
+type costKey uint64
+
+// shapeKey packs a shape: batch in the top 16 bits, then a and b in 24
+// bits each. It reports false when a field does not fit — more than
+// 65 535 rows or 16 Mi tokens, far beyond any modeled context — and such a
+// shape is costed on every call instead of memoized.
+func shapeKey(batch, a, b int) (costKey, bool) {
+	if uint(batch) >= 1<<16 || uint(a) >= 1<<24 || uint(b) >= 1<<24 {
+		return 0, false
+	}
+	return costKey(uint64(batch)<<48 | uint64(a)<<24 | uint64(b)), true
+}
 
 // maxCostEntries bounds each memo table; a sweep that somehow produces more
 // distinct shapes than this resets the table rather than growing without
@@ -164,16 +177,18 @@ func (c *StepCoster) DecodeTime(batch, meanCtx, sharedTokens int) (float64, erro
 			sharedTokens = meanCtx * batch
 		}
 	}
-	key := costKey{batch: batch, a: meanCtx, b: sharedTokens}
-	c.mu.RLock()
-	t, ok := c.decode[key]
-	c.mu.RUnlock()
-	if ok {
-		return t, nil
+	key, memo := shapeKey(batch, meanCtx, sharedTokens)
+	if memo {
+		c.mu.RLock()
+		t, ok := c.decode[key]
+		c.mu.RUnlock()
+		if ok {
+			return t, nil
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t, ok := c.decode[key]; ok {
+	if t, ok := c.decode[key]; memo && ok {
 		return t, nil
 	}
 	wl := queryWorkload(c.model, batch, meanCtx)
@@ -183,7 +198,10 @@ func (c *StepCoster) DecodeTime(batch, meanCtx, sharedTokens int) (float64, erro
 	}
 	c.ops = st.Ops[:0]
 	st.SharedBytes = float64(sharedTokens) * float64(wl.Model.KVCacheBytesPerToken(wl.Kind.Size()))
-	t = c.stepTime(wl, st)
+	t := c.stepTime(wl, st)
+	if !memo {
+		return t, nil
+	}
 	if len(c.decode) >= maxCostEntries {
 		c.decode = make(map[costKey]float64)
 	}
@@ -217,16 +235,18 @@ func (c *StepCoster) ChunkTime(batch, chunkTokens, hist int) (float64, error) {
 			hist = max
 		}
 	}
-	key := costKey{batch: batch, a: chunkTokens, b: hist}
-	c.mu.RLock()
-	t, ok := c.chunk[key]
-	c.mu.RUnlock()
-	if ok {
-		return t, nil
+	key, memo := shapeKey(batch, chunkTokens, hist)
+	if memo {
+		c.mu.RLock()
+		t, ok := c.chunk[key]
+		c.mu.RUnlock()
+		if ok {
+			return t, nil
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t, ok := c.chunk[key]; ok {
+	if t, ok := c.chunk[key]; memo && ok {
 		return t, nil
 	}
 	wl := queryWorkload(c.model, batch, chunkTokens)
@@ -235,7 +255,10 @@ func (c *StepCoster) ChunkTime(batch, chunkTokens, hist int) (float64, error) {
 		return 0, err
 	}
 	c.ops = st.Ops[:0]
-	t = c.stepTime(wl, st)
+	t := c.stepTime(wl, st)
+	if !memo {
+		return t, nil
+	}
 	if len(c.chunk) >= maxCostEntries {
 		c.chunk = make(map[costKey]float64)
 	}
@@ -304,7 +327,7 @@ func (c *StepCoster) stepTime(wl trace.Workload, st trace.StepTrace) float64 {
 	if c.isGPU {
 		cfg := c.gpu
 		cfg.Workload = wl
-		return gpuStepTime(cfg, st)
+		return gpuStepTime(&cfg, st)
 	}
 	cfg := c.cpu
 	cfg.Workload = wl

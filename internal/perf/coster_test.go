@@ -28,7 +28,7 @@ func GPUStepTime(cfg GPURun, st trace.StepTrace) (float64, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return 0, err
 	}
-	return gpuStepTime(cfg, st), nil
+	return gpuStepTime(&cfg, st), nil
 }
 
 // CPUPrefillChunkTime is the unmemoized cost of one chunked-prefill step
@@ -51,7 +51,7 @@ func GPUPrefillChunkTime(cfg GPURun, hist int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return gpuStepTime(cfg, st), nil
+	return gpuStepTime(&cfg, st), nil
 }
 
 // Bucket reports the quantization width the coster was built with.
@@ -141,6 +141,41 @@ func TestStepCosterExactAtBucketOne(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStepCosterUnpackableShapeExact: a shape with a field too wide for
+// the packed table key is still costed exactly, on every call, and never
+// enters — or aliases a shape in — the table.
+func TestStepCosterUnpackableShapeExact(t *testing.T) {
+	cfg := costerCPURun(t)
+	c, err := NewCPUStepCoster(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shared tokens past 24 bits; the low 24 bits alias shared = 5.
+	const wide = 1<<24 + 5
+	want := exactDecodeTime(t, cfg, 64, 1000, wide)
+	for pass := 0; pass < 2; pass++ {
+		got, err := c.DecodeTime(64, 1000, wide)
+		if err != nil || got != want {
+			t.Fatalf("pass %d: DecodeTime(64, 1000, 1<<24+5) = %v (%v), want exactly %v", pass, got, err, want)
+		}
+	}
+	if len(c.decode) != 0 {
+		t.Fatalf("an unpackable shape was memoized: %d entries", len(c.decode))
+	}
+	if got, want := mustDecode(t, c, 64, 1000, 5), exactDecodeTime(t, cfg, 64, 1000, 5); got != want {
+		t.Fatalf("DecodeTime(64, 1000, 5) = %v after the wide shape, want exactly %v", got, want)
+	}
+}
+
+func mustDecode(t *testing.T, c *StepCoster, batch, ctx, shared int) float64 {
+	t.Helper()
+	got, err := c.DecodeTime(batch, ctx, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // TestStepCosterExactAtBucketOneGPU covers the GPU path's identity.

@@ -325,7 +325,7 @@ func RunGPU(cfg GPURun) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.PrefillSec = gpuStepTime(cfg, pre)
+	res.PrefillSec = gpuStepTime(&cfg, pre)
 	res.TotalSec = res.PrefillSec
 
 	w := cfg.Workload
@@ -334,7 +334,7 @@ func RunGPU(cfg GPURun) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := gpuStepTime(cfg, st)
+		t := gpuStepTime(&cfg, st)
 		t = noise.Sample(t, cfg.Platform.Protected)
 		res.TokenLatencies = append(res.TokenLatencies, t)
 		res.TotalSec += t
@@ -345,8 +345,10 @@ func RunGPU(cfg GPURun) (*Result, error) {
 
 // gpuStepTime costs one step on the GPU: roofline over tensor cores and HBM,
 // plus kernel-launch and host-transfer costs — the cGPU's only overheads
-// (H100 does not encrypt HBM, so no memory-path cost, §V-A).
-func gpuStepTime(cfg GPURun, st trace.StepTrace) float64 {
+// (H100 does not encrypt HBM, so no memory-path cost, §V-A). Like
+// cpuStepTime it takes the run by pointer, so a costing miss does not copy
+// the GPURun.
+func gpuStepTime(cfg *GPURun, st trace.StepTrace) float64 {
 	g := cfg.GPU
 	p := cfg.Platform
 

@@ -131,7 +131,7 @@ func TestFailureCrashRequeueConservesBlocks(t *testing.T) {
 	}
 	be := cpuBackend(tee.TDX())
 	noise := newNoise(be, cfg.Seed)
-	s, err := newScheduler(be, cfg, sim.NewEngine(), noise)
+	s, err := newScheduler(be, &cfg, sim.NewEngine(), noise)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,8 +150,9 @@ var drainTestHook func(reps []*scheduler, roles []Role)
 // multi-replica deployment: Fleet.Run's role groups, the exported Replica
 // handle internal/autoscale composes elastic fleets from, and (through
 // RunFleet) SizeFleetForSLO's candidates. cfg must already be normalized;
-// be passes by value, so the socket defaulting stays local.
-func buildReplica(be Backend, cfg Config, eng *sim.Engine, seed int64) (*scheduler, error) {
+// the scheduler copies it once. be passes by value, so the socket
+// defaulting stays local.
+func buildReplica(be Backend, cfg *Config, eng *sim.Engine, seed int64) (*scheduler, error) {
 	if !be.IsGPU && be.CPU.Sockets <= 0 {
 		be.CPU.Sockets = 1
 	}
@@ -276,7 +277,7 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 	for _, g := range groups {
 		for k := 0; k < g.Replicas; k++ {
 			i := len(reps)
-			s, err := buildReplica(g.Backend, cfg, eng, cfg.Seed+int64(i)*7919+1)
+			s, err := buildReplica(g.Backend, &cfg, eng, cfg.Seed+int64(i)*7919+1)
 			if err != nil {
 				return nil, err
 			}
@@ -318,7 +319,7 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 	// dispatched to, wherever it finishes.
 	ledgers := make([]*ledger, total)
 	for i := range ledgers {
-		ledgers[i] = newLedger(cfg)
+		ledgers[i] = newLedger(&cfg)
 	}
 	var hd *handoffDispatcher
 	if disagg {

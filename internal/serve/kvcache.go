@@ -14,13 +14,14 @@ import (
 // and what makes preemption a cheap release-and-requeue.
 //
 // With sharing enabled the manager additionally keeps a block-level prefix
-// cache (a flattened radix over chained block hashes, vLLM-style): full
-// blocks of a request's declared prompt prefix are published under
-// content-chained hashes with reference counts, so later requests with the
-// same prefix pin the same physical blocks instead of recomputing and
-// re-storing them. Blocks whose refcount drops to zero are retained in an
-// LRU cache and reclaimed only under allocation pressure (leaf-first, so a
-// cached block's parents always outlive it).
+// cache (vLLM-style, laid out like PagedAttention's block table): full
+// blocks of a request's declared prompt prefix are published, with
+// reference counts, in the prefix's chain — one slice of blocks per prefix
+// identity, indexed by block — so later requests with the same prefix pin
+// the same physical blocks instead of recomputing and re-storing them.
+// Blocks whose refcount drops to zero are retained in an LRU cache and
+// reclaimed only under allocation pressure (leaf-first, so a cached
+// block's parents always outlive it).
 type BlockManager struct {
 	blockTokens   int
 	bytesPerToken int64
@@ -35,16 +36,20 @@ type BlockManager struct {
 	// byID backs the exported request-ID methods, and spare recycles the
 	// holds they forget. Only those methods touch either; the scheduler
 	// passes each request's embedded hold instead.
-	byID       map[int]*kvHold
-	spare      []*kvHold
-	shared     map[blockKey]*sharedBlock
-	tick       int64 // monotonic op counter driving LRU order (deterministic)
-	cached     int   // shared blocks nobody pins (refs == 0), kept so InUse is O(1)
-	dedupPass  int64 // stamp of the latest dedup pass
-	peakInUse  int
-	evicted    int
-	hitTokens  int
-	missTokens int
+	byID  map[int]*kvHold
+	spare []*kvHold
+	// shared maps a prefix identity hash to its chain of published blocks.
+	shared map[uint64]*prefixChain
+	// lruHead..lruTail lists the cached (refcount-zero) blocks in reclaim
+	// order, head first: release appends a chain's blocks deepest first, a
+	// revival unlinks its block, and eviction pops the head.
+	lruHead, lruTail *sharedBlock
+	cached           int   // shared blocks nobody pins (refs == 0), kept so InUse is O(1)
+	dedupPass        int64 // stamp of the latest dedup pass
+	peakInUse        int
+	evicted          int
+	hitTokens        int
+	missTokens       int
 
 	// Host swap pool (swap-to-host preemption): a bounded region of
 	// untrusted host memory holding preempted requests' KV copies. Swap
@@ -64,33 +69,37 @@ type BlockManager struct {
 // at the source before the destination parks the copy).
 type kvHold struct {
 	private int
-	pins    []*sharedBlock // in chain order, from block index 0
-	swap    int
-	owner   *BlockManager // the manager listing the hold; nil while it holds nothing
-	slot    int           // index in owner.holds
+	// pins are the leading blocks of one prefix chain, from block index 0.
+	// The slice aliases the chain's own block slice, which is safe because
+	// a pinned block is never evicted or replaced; it is never appended to.
+	pins  []*sharedBlock
+	swap  int
+	owner *BlockManager // the manager listing the hold; nil while it holds nothing
+	slot  int           // index in owner.holds
 }
 
-// blockKey identifies one shareable block by its chained content hash: the
-// hash covers the block's own tokens and every token before it, so two
-// prefixes that differ anywhere before or inside the block can never map to
-// the same key (the radix-tree property, flattened).
-type blockKey struct {
-	hash uint64
-	idx  int
+// prefixChain is one prefix identity's published blocks: blocks[i] is the
+// shareable block i of the prefix. A chain is contiguous from block 0 —
+// publishing extends it at the end, and blocks leave only from the end —
+// so two prefixes that differ anywhere share no block (the radix-tree
+// property, flattened to one chain per identity).
+type prefixChain struct {
+	hash   uint64
+	blocks []*sharedBlock
 }
 
 // sharedBlock is one physical block published in the prefix cache.
 type sharedBlock struct {
-	key  blockKey
-	refs int
+	chain *prefixChain
+	idx   int // index in chain.blocks
+	refs  int
 	// computed marks the block's KV entries as filled; only computed blocks
 	// count as cache hits (a block being prefilled by one request is pinned
 	// by, but not yet useful to, a concurrent sharer).
 	computed bool
-	// lruSeq orders reclaim among refs==0 blocks: smaller evicts first.
-	// Within one release, deeper blocks get smaller sequences, so eviction
-	// is leaf-first and a surviving block's chain parents survive too.
-	lruSeq int64
+	// prev and next link a cached (refs == 0) block into the manager's LRU
+	// list; both are nil while the block is pinned.
+	prev, next *sharedBlock
 	// dedupPass and dedupLen are dedup-pass scratch, used on chain
 	// roots only: the pass that last saw the root, and the longest pin list
 	// under it in that pass.
@@ -99,18 +108,12 @@ type sharedBlock struct {
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective mix that spreads
-// adjacent inputs across the hash space. Both the per-block chain keys and
-// the prefix identity hash build on it.
+// adjacent inputs across the hash space. The prefix identity hash, the
+// failure stream's seed and the retry jitter build on it.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// chainHash extends a prefix identity hash to the block at index idx, so
-// per-block keys are well distributed even for adjacent prefix IDs.
-func chainHash(prefixHash uint64, idx int) uint64 {
-	return mix64(prefixHash + 0x9e3779b97f4a7c15*uint64(idx+1))
 }
 
 // NewBlockManager sizes the pool from a byte budget. It fails when the
@@ -134,7 +137,7 @@ func NewBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sh
 		free:          total,
 		sharing:       sharing,
 		byID:          make(map[int]*kvHold),
-		shared:        make(map[blockKey]*sharedBlock),
+		shared:        make(map[uint64]*prefixChain),
 	}, nil
 }
 
@@ -246,22 +249,15 @@ func (m *BlockManager) notePeak() {
 	}
 }
 
-// evictOne reclaims the least-recently-released cached block. It returns
-// false when nothing is evictable.
+// evictOne reclaims the least-recently-released cached block, the head of
+// the LRU list. It returns false when nothing is evictable.
 func (m *BlockManager) evictOne() bool {
-	var victim *sharedBlock
-	for _, b := range m.shared {
-		if b.refs != 0 {
-			continue
-		}
-		if victim == nil || b.lruSeq < victim.lruSeq {
-			victim = b
-		}
-	}
-	if victim == nil {
+	b := m.lruHead
+	if b == nil {
 		return false
 	}
-	delete(m.shared, victim.key)
+	m.unlinkLRU(b)
+	m.drop(b)
 	m.free++
 	m.cached--
 	m.evicted++
@@ -274,17 +270,74 @@ func (m *BlockManager) evictOne() bool {
 // sharers recompute. Pinned blocks (nonzero refcount) are untouched.
 func (m *BlockManager) FlushCache() int {
 	n := 0
-	for key, b := range m.shared {
-		if b.refs != 0 {
-			continue
-		}
-		delete(m.shared, key)
-		m.free++
-		m.evicted++
+	for m.lruHead != nil {
+		b := m.lruHead
+		m.unlinkLRU(b)
+		m.drop(b)
 		n++
 	}
+	m.free += n
+	m.evicted += n
 	m.cached -= n
 	return n
+}
+
+// pushLRU appends a block whose refcount just reached zero to the LRU
+// list's tail: it is reclaimed after every block cached before it.
+//
+// Reclaim order is least recently released first and, within one
+// release, deepest block first. That makes eviction leaf-first: within a
+// chain the unpinned blocks are a suffix (every hold pinning a block pins
+// all blocks before it), the last release of a block comes no earlier
+// than the last release of any deeper one, and so a block is always
+// listed after its deeper neighbour. The head is therefore always its
+// chain's last block, which is what keeps chains contiguous.
+func (m *BlockManager) pushLRU(b *sharedBlock) {
+	b.prev, b.next = m.lruTail, nil
+	if m.lruTail != nil {
+		m.lruTail.next = b
+	} else {
+		m.lruHead = b
+	}
+	m.lruTail = b
+}
+
+// unlinkLRU removes a cached block from the LRU list in O(1), for a
+// revival or a reclaim.
+func (m *BlockManager) unlinkLRU(b *sharedBlock) {
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		m.lruHead = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	} else {
+		m.lruTail = b.prev
+	}
+	b.prev, b.next = nil, nil
+}
+
+// publish appends a new uncomputed block, pinned once, to the chain. The
+// caller has reserved its block.
+func (c *prefixChain) publish() {
+	c.blocks = append(c.blocks, &sharedBlock{chain: c, idx: len(c.blocks), refs: 1})
+}
+
+// drop unpublishes a block nobody pins, which must be its chain's last
+// block, and unmaps the chain once it is empty. Block accounting is the
+// caller's.
+func (m *BlockManager) drop(b *sharedBlock) {
+	c := b.chain
+	last := len(c.blocks) - 1
+	if b.idx != last || c.blocks[last] != b {
+		panic("serve: prefix cache dropped a block that is not its chain's leaf")
+	}
+	c.blocks[last] = nil
+	c.blocks = c.blocks[:last]
+	if last == 0 {
+		delete(m.shared, c.hash)
+	}
 }
 
 // reserve frees up n blocks for allocation, evicting cached blocks as
@@ -354,39 +407,45 @@ func (m *BlockManager) acquirePrefix(h *kvHold, prefixHash uint64, prefixTokens 
 		return 0, errPrefixHeld
 	}
 	nBlocks := prefixTokens / m.blockTokens // full blocks only
-	pins := make([]*sharedBlock, 0, nBlocks)
-	hitsDone := false
-	for idx := 0; idx < nBlocks; idx++ {
-		key := blockKey{hash: chainHash(prefixHash, idx), idx: idx}
-		b, ok := m.shared[key]
-		if ok {
+	c := m.shared[prefixHash]
+	pinned := 0
+	if c != nil {
+		// Pin the published blocks, reviving cached ones. Hits stop at the
+		// first uncomputed block: the rest must be recomputed in order.
+		pinned = min(nBlocks, len(c.blocks))
+		hitsDone := false
+		for _, b := range c.blocks[:pinned] {
 			if b.refs == 0 {
-				m.cached-- // revived from the cache
+				m.unlinkLRU(b)
+				m.cached--
 			}
 			b.refs++
-			pins = append(pins, b)
 			if b.computed && !hitsDone {
 				cachedTokens += m.blockTokens
 			} else {
-				hitsDone = true // uncomputed block: the rest must be recomputed in order
+				hitsDone = true
 			}
-			continue
 		}
-		hitsDone = true
+	}
+	// Publish the missing tail. Every block of the chain is pinned now, so
+	// the evictions reserve makes never touch it.
+	for ; pinned < nBlocks; pinned++ {
 		if !m.reserve(1) {
 			break // pool exhausted: remaining prefix tokens go to private blocks
 		}
+		if c == nil {
+			c = &prefixChain{hash: prefixHash, blocks: make([]*sharedBlock, 0, nBlocks)}
+			m.shared[prefixHash] = c
+		}
 		m.free--
-		nb := &sharedBlock{key: key, refs: 1}
-		m.shared[key] = nb
-		pins = append(pins, nb)
+		c.publish()
 		m.notePeak()
 	}
-	if len(pins) > 0 {
+	if pinned > 0 {
 		if h.owner == nil {
 			m.register(h)
 		}
-		h.pins = pins
+		h.pins = c.blocks[:pinned:pinned]
 	}
 	return cachedTokens, nil
 }
@@ -416,7 +475,7 @@ func (m *BlockManager) sharedTokens(h *kvHold) int {
 func (m *BlockManager) markComputed(h *kvHold, tokens int) {
 	m.check(h)
 	for _, b := range h.pins {
-		if (b.key.idx+1)*m.blockTokens <= tokens {
+		if (b.idx+1)*m.blockTokens <= tokens {
 			b.computed = true
 		}
 	}
@@ -462,55 +521,46 @@ func (m *BlockManager) release(h *kvHold) int {
 	n := h.private
 	m.free += n
 	h.private = 0
-	if len(h.pins) > 0 {
-		m.tick++
-		for _, b := range h.pins {
-			n++
-			b.refs--
-			if b.refs > 0 {
-				continue
-			}
-			if !b.computed {
-				delete(m.shared, b.key) // half-built block: content is garbage
-				m.free++
-				continue
-			}
-			// Deeper blocks get smaller sequences → evicted first.
-			b.lruSeq = m.tick<<16 - int64(b.key.idx)
-			m.cached++
+	// Deepest block first, so the blocks this release caches join the LRU
+	// list leaf-first.
+	for j := len(h.pins) - 1; j >= 0; j-- {
+		b := h.pins[j]
+		n++
+		b.refs--
+		if b.refs > 0 {
+			continue
 		}
-		h.pins = nil
+		if !b.computed {
+			m.drop(b) // half-built block: content is garbage
+			m.free++
+			continue
+		}
+		m.pushLRU(b)
+		m.cached++
 	}
+	h.pins = nil
 	m.settle(h)
 	return n
 }
 
-// dedupSavedTokens returns how many tokens of per-row KV read traffic
-// across the decoding rows are repeat reads of the same shared physical
-// blocks (pins minus unique blocks). The scheduler subtracts these from
-// the decode step's resident working set: shared prefix pages are mapped
-// once however many rows stream them, so they do not widen TLB reach or
-// enclave paging pressure.
+// startDedup starts a dedup pass: each dedupRow call then counts how many
+// of its row's pinned blocks repeat blocks an earlier row of the pass
+// already read. Summed over a decode batch, times the block size, that is
+// the per-row KV read traffic that re-reads shared physical blocks (pins
+// minus unique blocks). The scheduler subtracts these from the decode
+// step's resident working set: shared prefix pages are mapped once however
+// many rows stream them, so they do not widen TLB reach or enclave paging
+// pressure.
 //
-// It is O(len(rows)) and allocation-free. A request's pins are the chain
-// blocks at indices 0, 1, … of one prefix hash, contiguous from the root;
-// chainHash is a bijection of the prefix hash at a fixed index, so rows
-// pinning one block pin one prefix hash; and a pinned block is never
-// evicted or replaced, so those rows pin the same object at every index
-// they both reach. Two rows therefore share blocks exactly when they share
-// a root, and then over their whole common length: the unique blocks under
-// one root are its longest pin list.
-func (m *BlockManager) dedupSavedTokens(rows []*reqState) int {
-	if !m.sharing {
-		return 0
-	}
-	m.dedupPass++
-	saved := 0
-	for _, r := range rows {
-		saved += m.dedupRow(&r.kv)
-	}
-	return saved * m.blockTokens
-}
+// A pass is O(rows) and allocation-free. A request's pins are the blocks
+// at indices 0, 1, … of one prefix chain, contiguous from the root; a
+// block belongs to exactly one chain, so rows pinning one block pin one
+// chain; and a pinned block is never evicted or replaced, so those rows
+// pin the same object at every index they both reach. Two rows therefore
+// share blocks exactly when they share a root, and then over their whole
+// common length: the unique blocks under one root are its longest pin
+// list.
+func (m *BlockManager) startDedup() { m.dedupPass++ }
 
 // dedupRow adds one row to the current dedup pass and returns how many of
 // its pins repeat blocks an earlier row of the pass already read.
@@ -594,12 +644,12 @@ func (m *BlockManager) Release(reqID int) int {
 
 // DedupSavedTokens returns how many tokens of per-row KV read traffic
 // across the given requests are repeat reads of the same shared physical
-// blocks; see dedupSavedTokens.
+// blocks, in one dedup pass (see startDedup).
 func (m *BlockManager) DedupSavedTokens(ids []int) int {
 	if !m.sharing {
 		return 0
 	}
-	m.dedupPass++
+	m.startDedup()
 	saved := 0
 	for _, id := range ids {
 		if h := m.byID[id]; h != nil {
@@ -611,14 +661,15 @@ func (m *BlockManager) DedupSavedTokens(ids []int) int {
 
 // CheckConservation verifies the pool's accounting invariants: every block
 // is exactly one of free, privately held, or backing a shared entry;
-// shared refcounts equal the pins held by requests; every pin list is the
-// published chain from index 0; the cached-block counter matches a
-// recount of the unpinned (necessarily computed) blocks; and every live
-// hold is registered here, exactly once, at its own slot. Tests call this
-// after adversarial share/preempt/evict interleavings.
+// shared refcounts equal the pins held by requests; every chain is
+// contiguous from block 0 and every pin list is a prefix of one; the LRU
+// list holds exactly the unpinned (necessarily computed) blocks, each
+// chain's deepest first, and the cached-block counter matches it; and
+// every live hold is registered here, exactly once, at its own slot.
+// Tests call this after adversarial share/preempt/evict interleavings.
 func (m *BlockManager) CheckConservation() error {
 	private, swapSum := 0, 0
-	pinRefs := make(map[blockKey]int)
+	pinRefs := make(map[*sharedBlock]int)
 	for i, h := range m.holds {
 		if h.owner != m || h.slot != i {
 			return fmt.Errorf("serve: registry slot %d lists a hold that records another manager or slot %d", i, h.slot)
@@ -630,13 +681,14 @@ func (m *BlockManager) CheckConservation() error {
 			return fmt.Errorf("serve: negative private holding %d", h.private)
 		}
 		private += h.private
-		// DedupSavedTokens relies on every pin list being a chain from
-		// index 0 whose blocks are the ones published under their keys.
+		// DedupSavedTokens relies on every pin list being a chain's
+		// published blocks from index 0.
 		for j, b := range h.pins {
-			if b.key.idx != j || m.shared[b.key] != b {
-				return fmt.Errorf("serve: hold %d pin %d is block %v, not the published chain block", i, j, b.key)
+			c := b.chain
+			if c == nil || m.shared[c.hash] != c || j >= len(c.blocks) || c.blocks[j] != b {
+				return fmt.Errorf("serve: hold %d pin %d is not block %d of a published chain", i, j, j)
 			}
-			pinRefs[b.key]++
+			pinRefs[b]++
 		}
 		if h.swap < 0 {
 			return fmt.Errorf("serve: hold %d parks %d swap blocks", i, h.swap)
@@ -654,27 +706,55 @@ func (m *BlockManager) CheckConservation() error {
 			return fmt.Errorf("serve: request %d's hold is not registered with this manager", id)
 		}
 	}
-	if got := m.free + private + len(m.shared); got != m.total {
-		return fmt.Errorf("serve: block conservation broken: free %d + private %d + shared %d = %d, want %d",
-			m.free, private, len(m.shared), got, m.total)
-	}
-	cached := 0
-	for key, b := range m.shared {
-		if b.refs < 0 {
-			return fmt.Errorf("serve: negative refcount %d on block %v", b.refs, key)
+	shared, cached := 0, 0
+	for hash, c := range m.shared {
+		if c.hash != hash || len(c.blocks) == 0 {
+			return fmt.Errorf("serve: chain %#x is mapped under %#x with %d blocks", c.hash, hash, len(c.blocks))
 		}
-		if b.refs != pinRefs[key] {
-			return fmt.Errorf("serve: block %v refcount %d but %d pins", key, b.refs, pinRefs[key])
-		}
-		if b.refs == 0 {
-			if !b.computed {
-				return fmt.Errorf("serve: unpinned block %v was never computed", key)
+		for j, b := range c.blocks {
+			if b == nil || b.chain != c || b.idx != j {
+				return fmt.Errorf("serve: chain %#x is not contiguous at block %d", hash, j)
 			}
-			cached++
+			if b.refs < 0 {
+				return fmt.Errorf("serve: negative refcount %d on block %d of chain %#x", b.refs, j, hash)
+			}
+			if b.refs != pinRefs[b] {
+				return fmt.Errorf("serve: block %d of chain %#x has refcount %d but %d pins", j, hash, b.refs, pinRefs[b])
+			}
+			if b.refs == 0 {
+				if !b.computed {
+					return fmt.Errorf("serve: unpinned block %d of chain %#x was never computed", j, hash)
+				}
+				cached++
+			}
 		}
+		shared += len(c.blocks)
 	}
-	if cached != m.cached {
-		return fmt.Errorf("serve: %d cached blocks but the counter says %d", cached, m.cached)
+	if got := m.free + private + shared; got != m.total {
+		return fmt.Errorf("serve: block conservation broken: free %d + private %d + shared %d = %d, want %d",
+			m.free, private, shared, got, m.total)
+	}
+	// Walking the LRU list, each chain's unpinned suffix must appear
+	// deepest block first, so eviction always takes a leaf.
+	listed := 0
+	taken := make(map[*prefixChain]int)
+	var prev *sharedBlock
+	for b := m.lruHead; b != nil; prev, b = b, b.next {
+		c := b.chain
+		if b.prev != prev || b.refs != 0 || c == nil || m.shared[c.hash] != c || b.idx >= len(c.blocks) || c.blocks[b.idx] != b {
+			return fmt.Errorf("serve: LRU entry %d is not a linked, unpinned, published block", listed)
+		}
+		if want := len(c.blocks) - 1 - taken[c]; b.idx != want {
+			return fmt.Errorf("serve: LRU lists block %d of chain %#x where block %d is next leaf-first", b.idx, c.hash, want)
+		}
+		taken[c]++
+		listed++
+	}
+	if prev != m.lruTail {
+		return fmt.Errorf("serve: LRU tail is not the list's last block")
+	}
+	if listed != cached || cached != m.cached {
+		return fmt.Errorf("serve: %d cached blocks, %d on the LRU list, but the counter says %d", cached, listed, m.cached)
 	}
 	if swapSum != m.swapUsed {
 		return fmt.Errorf("serve: swap pool accounting broken: %d parked, %d used", swapSum, m.swapUsed)

@@ -19,14 +19,14 @@ func holders(m *BlockManager) int {
 
 // dedupOracle is dedup by definition: pins minus distinct pinned blocks
 // across the rows' holds (nil for a request the manager never saw),
-// counted with a set of block keys. Every non-empty hold must be in the
+// counted with a set of blocks. Every non-empty hold must be in the
 // manager's live-hold registry.
 func dedupOracle(tb testing.TB, m *BlockManager, rows []*kvHold) int {
 	tb.Helper()
 	if !m.sharing {
 		return 0
 	}
-	seen := make(map[blockKey]struct{})
+	seen := make(map[*sharedBlock]struct{})
 	pins, uniq := 0, 0
 	for _, h := range rows {
 		if h == nil || len(h.pins) == 0 {
@@ -37,13 +37,27 @@ func dedupOracle(tb testing.TB, m *BlockManager, rows []*kvHold) int {
 		}
 		for _, b := range h.pins {
 			pins++
-			if _, ok := seen[b.key]; !ok {
-				seen[b.key] = struct{}{}
+			if _, ok := seen[b]; !ok {
+				seen[b] = struct{}{}
 				uniq++
 			}
 		}
 	}
 	return (pins - uniq) * m.blockTokens
+}
+
+// dedupRows runs one dedup pass over the rows' holds, as the scheduler's
+// decode pass does, and returns the repeat-read tokens.
+func dedupRows(m *BlockManager, rows []*reqState) int {
+	if !m.sharing {
+		return 0
+	}
+	m.startDedup()
+	saved := 0
+	for _, r := range rows {
+		saved += m.dedupRow(&r.kv)
+	}
+	return saved * m.blockTokens
 }
 
 // walkReq is one simulated request of a randomized walk. Odd IDs go
@@ -542,7 +556,7 @@ func TestDedupSavedTokensMatchesOracle(t *testing.T) {
 	// crashes flush the cache. After every step both dedup paths must equal
 	// the set-based oracle on random row subsets, duplicates and pinless
 	// requests included: DedupSavedTokens over the subset's ID-keyed
-	// requests, dedupSavedTokens over its hold-keyed ones.
+	// requests, a dedup pass (dedupRows) over its hold-keyed ones.
 	m, err := NewBlockManager(40*64, 16, 4, true)
 	if err != nil {
 		t.Fatal(err)
@@ -648,9 +662,9 @@ func TestDedupSavedTokensMatchesOracle(t *testing.T) {
 			if got != want {
 				t.Fatalf("step %d: DedupSavedTokens(%v) = %d, oracle %d", step, ids, got, want)
 			}
-			gotRows, wantRows := m.dedupSavedTokens(rows), dedupOracle(t, m, rowHolds)
+			gotRows, wantRows := dedupRows(m, rows), dedupOracle(t, m, rowHolds)
 			if gotRows != wantRows {
-				t.Fatalf("step %d: dedupSavedTokens over %d rows = %d, oracle %d", step, len(rows), gotRows, wantRows)
+				t.Fatalf("step %d: dedup pass over %d rows = %d, oracle %d", step, len(rows), gotRows, wantRows)
 			}
 			if want > 0 || wantRows > 0 {
 				nonzero++
@@ -733,6 +747,60 @@ func BenchmarkBlockManagerAcquirePrefix(b *testing.B) {
 	}
 }
 
+// TestWarmAcquirePrefixAllocationFree: pinning a cached 72-block prefix
+// and releasing it again is one map lookup and no allocation — the pins
+// alias the chain's own block slice.
+func TestWarmAcquirePrefixAllocationFree(t *testing.T) {
+	m, _ := ragShapeManager(t)
+	st := &reqState{}
+	allocs := testing.AllocsPerRun(100, func() {
+		cached, err := m.acquirePrefix(&st.kv, prefixHash(1), 72*16)
+		if err != nil || cached != 72*16 {
+			t.Fatalf("warm acquire served %d cached tokens (%v), want %d", cached, err, 72*16)
+		}
+		m.release(&st.kv)
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm acquirePrefix+release allocates %.1f times, want 0", allocs)
+	}
+	if err := m.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkBlockManagerEvict publishes a 72-block prefix into a pool full
+// of cached chains, evicting an older chain block by block, then computes
+// and releases it so it joins the cache. 100 identities cycle through a
+// 4096-block pool that holds 56 chains, so every acquisition misses and
+// every published block costs one eviction.
+func BenchmarkBlockManagerEvict(b *testing.B) {
+	m, err := NewBlockManager(4096*64, 16, 4, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := &reqState{}
+	cycle := func(i int) {
+		if _, err := m.acquirePrefix(&st.kv, prefixHash(i%100+1), 72*16); err != nil {
+			b.Fatal(err)
+		}
+		m.markComputed(&st.kv, 72*16)
+		m.release(&st.kv)
+	}
+	for i := 0; i < 100; i++ { // fill the pool with cached chains
+		cycle(i)
+	}
+	evicted := m.EvictedBlocks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(i)
+	}
+	b.StopTimer()
+	if m.EvictedBlocks()-evicted != 72*b.N {
+		b.Fatalf("evicted %d blocks over %d acquisitions, want 72 each", m.EvictedBlocks()-evicted, b.N)
+	}
+}
+
 // TestForeignHoldRejected: a non-empty hold belongs to one manager. Every
 // hold method of another manager must refuse it without touching either
 // pool, and a registry that lists a foreign hold fails CheckConservation.
@@ -755,14 +823,14 @@ func TestForeignHoldRejected(t *testing.T) {
 	}
 	h := &st.kv
 	for name, call := range map[string]func(){
-		"grow":             func() { b.grow(h, 41) },
-		"grow (covered)":   func() { b.grow(h, 1) },
-		"release":          func() { b.release(h) },
-		"swapOut":          func() { b.swapOut(h, 40) },
-		"swapIn":           func() { b.swapIn(h) },
-		"acquirePrefix":    func() { b.acquirePrefix(h, prefixHash(2), 32) },
-		"markComputed":     func() { b.markComputed(h, 32) },
-		"dedupSavedTokens": func() { b.dedupSavedTokens([]*reqState{st}) },
+		"grow":           func() { b.grow(h, 41) },
+		"grow (covered)": func() { b.grow(h, 1) },
+		"release":        func() { b.release(h) },
+		"swapOut":        func() { b.swapOut(h, 40) },
+		"swapIn":         func() { b.swapIn(h) },
+		"acquirePrefix":  func() { b.acquirePrefix(h, prefixHash(2), 32) },
+		"markComputed":   func() { b.markComputed(h, 32) },
+		"dedupRow":       func() { b.dedupRow(&st.kv) },
 	} {
 		func() {
 			defer func() {
@@ -830,7 +898,7 @@ func (g *growBatch) round() int {
 			panic("grow failed on a pool sized for the batch")
 		}
 	}
-	saved := g.m.dedupSavedTokens(g.rows)
+	saved := dedupRows(g.m, g.rows)
 	for _, r := range g.rows {
 		if r.generated++; r.generated >= r.req.OutputLen {
 			g.m.release(&r.kv)

@@ -156,7 +156,7 @@ func TestEveryHoldEndingPathDrains(t *testing.T) {
 			if err := cfg.normalize(); err != nil {
 				t.Fatal(err)
 			}
-			s, err := newScheduler(be, cfg, sim.NewEngine(), newNoise(be, cfg.Seed))
+			s, err := newScheduler(be, &cfg, sim.NewEngine(), newNoise(be, cfg.Seed))
 			if err != nil {
 				t.Fatal(err)
 			}

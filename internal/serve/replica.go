@@ -23,11 +23,11 @@ func NewReplica(be Backend, cfg Config, eng *sim.Engine, seed int64) (*Replica, 
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	s, err := buildReplica(be, cfg, eng, seed)
+	s, err := buildReplica(be, &cfg, eng, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{s: s, ledger: newLedger(cfg)}, nil
+	return &Replica{s: s, ledger: newLedger(&cfg)}, nil
 }
 
 // SetIndex labels this replica's observer events and gauge samples with

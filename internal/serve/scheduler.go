@@ -27,8 +27,10 @@ const (
 	phaseHandoff
 )
 
-// reqState tracks one request through the scheduler. One is allocated per
-// request, so the one-byte fields sit together and share a word.
+// reqState tracks one request through the scheduler. Exact mode allocates
+// one per request and sketch mode one per request in flight (finished
+// states are recycled), so the one-byte fields sit together and share a
+// word.
 type reqState struct {
 	req   Request
 	phase phase
@@ -111,6 +113,9 @@ type scheduler struct {
 	noise  *sim.Noise
 	kv     *BlockManager
 	coster *perf.StepCoster
+	// decodeMemo and chunkMemo front the coster's decode and chunk tables for
+	// the iteration loop (see stepMemo).
+	decodeMemo, chunkMemo stepMemo
 	// clear is the counterfactual clear-hardware coster (Config.ClearCoster):
 	// when set and an observer is attached, every round's step shapes are
 	// priced a second time with the TEE mechanisms neutralized and emitted on
@@ -202,10 +207,11 @@ type scheduler struct {
 }
 
 // newScheduler builds one replica's scheduler on the given engine. cfg must
-// already be normalized and the backend socket-defaulted; the noise stream
-// is owned by this replica. The step coster is be.Coster when the caller
-// shares one across replicas (RunFleet, fleet sizing), otherwise private.
-func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*scheduler, error) {
+// already be normalized and the backend socket-defaulted; the scheduler
+// keeps its own copy of cfg, and the noise stream is owned by this
+// replica. The step coster is be.Coster when the caller shares one across
+// replicas (RunFleet, fleet sizing), otherwise private.
+func newScheduler(be Backend, cfg *Config, eng *sim.Engine, noise *sim.Noise) (*scheduler, error) {
 	kvBudget, err := be.KVBudgetBytes(cfg.Workload)
 	if err != nil {
 		return nil, err
@@ -217,7 +223,7 @@ func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*s
 	}
 	coster := be.Coster
 	if coster == nil {
-		coster, err = NewStepCoster(be, cfg)
+		coster, err = NewStepCoster(be, *cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +248,7 @@ func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*s
 		}
 		clear = cfg.ClearCoster
 	}
-	s := &scheduler{cfg: cfg, be: be, eng: eng, noise: noise, kv: kv, coster: coster, clear: clear, obs: cfg.Observer}
+	s := &scheduler{cfg: *cfg, be: be, eng: eng, noise: noise, kv: kv, coster: coster, clear: clear, obs: cfg.Observer}
 	s.finishFn = func(*sim.Engine) { s.finishIteration() }
 	s.failEnabled = cfg.Faults.MTBFSec > 0 || len(cfg.Faults.Plan) > 0
 	if s.failEnabled {
@@ -317,8 +323,8 @@ func Run(be Backend, cfg Config) (*Report, error) {
 
 // prefixHash derives the content-identity hash of a request's shared
 // prefix. Requests with equal PrefixID model byte-identical prefix content,
-// so they hash equally; the chained per-block keys (see chainHash) then
-// guarantee requests with different prefixes can never alias a block.
+// so they hash equally and pin one prefix chain (see prefixChain);
+// requests with different prefixes can never alias a block.
 func prefixHash(prefixID int) uint64 {
 	return mix64(uint64(prefixID) + 0x9e3779b97f4a7c15)
 }
@@ -401,16 +407,25 @@ func (s *scheduler) iterate() {
 	// to append one token. When the pool is exhausted, preempt the youngest
 	// running sequence (vLLM's recompute policy): release its blocks and
 	// requeue it at the front, where it will re-prefill its full context
-	// later (shared prefix blocks may still be cached then).
+	// later (shared prefix blocks may still be cached then). The pass also
+	// gathers the decode step's shape as it goes (see decodeShape), so one
+	// walk over the rows serves capacity, context and dedup.
 	decoding := s.decoding[:0]
+	var shape decodeShape
+	s.startShape(&shape)
 	for i := 0; i < len(s.running); {
 		r := s.running[i]
 		if r.prefilling() {
 			i++
 			continue
 		}
-		if s.kv.grow(&r.kv, r.ctxTokens()+1) {
+		ctx := r.ctxTokens()
+		if s.kv.grow(&r.kv, ctx+1) {
 			decoding = append(decoding, r)
+			shape.ctx += ctx
+			if s.cfg.PrefixSharing {
+				shape.repeats += s.kv.dedupRow(&r.kv)
+			}
 			i++
 			continue
 		}
@@ -421,6 +436,7 @@ func (s *scheduler) iterate() {
 			break // r was the youngest; the loop is past every survivor
 		}
 		decoding = decoding[:0]
+		s.startShape(&shape)
 		i = 0 // pool changed; re-run the pass from the oldest sequence
 	}
 
@@ -552,7 +568,7 @@ func (s *scheduler) iterate() {
 		decoding = decoding[:0]
 	}
 
-	dur, err := s.iterationTime(decoding, chunks)
+	dur, err := s.iterationTime(decoding, shape, chunks)
 	s.chunks, s.decoding = chunks, decoding
 	if err != nil {
 		// A costing failure is a configuration bug (e.g. more sockets than
@@ -673,7 +689,7 @@ func (s *scheduler) swapCheaper(r *reqState, tokens int) bool {
 // cached history; KV traffic is linear in totals, so the mean is exact for
 // the memory-bound path, approximate for attention-FLOPs skew (same
 // approximation the decode batch uses).
-func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (float64, error) {
+func (s *scheduler) iterationTime(decoding []*reqState, shape decodeShape, chunks []chunkWork) (float64, error) {
 	var total float64
 	// With an observer attached the per-component costs are kept for the
 	// round event's attribution payload; with a clear coster the same step
@@ -705,8 +721,10 @@ func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (flo
 		}
 	}
 	if len(decoding) > 0 {
-		batch, meanCtx, shared := s.decodeShape(decoding)
-		t, err := s.coster.DecodeTime(batch, meanCtx, shared)
+		batch := len(decoding)
+		meanCtx := (shape.ctx + batch - 1) / batch
+		shared := shape.repeats * s.cfg.BlockTokens
+		t, err := s.decodeTime(batch, meanCtx, shared)
 		if err != nil {
 			return 0, err
 		}
@@ -760,28 +778,23 @@ func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (flo
 	return total, nil
 }
 
-// decodeShape reduces the decode batch to the shape the coster prices: the
-// batch size, the mean context length, and the prefix-shared token count.
-// KV traffic is linear in total context, so costing at the mean context
-// length is exact for the memory-bound path. When prefix sharing is on,
-// repeat reads of shared blocks are flagged so the roofline's TLB/enclave
-// working set counts each shared page once.
-func (s *scheduler) decodeShape(decoding []*reqState) (batch, meanCtx, shared int) {
-	ctx := 0
-	for _, r := range decoding {
-		ctx += r.ctxTokens()
-	}
-	meanCtx = (ctx + len(decoding) - 1) / len(decoding)
-	if s.cfg.PrefixSharing {
-		shared = s.kv.dedupSavedTokens(decoding)
-	}
-	return len(decoding), meanCtx, shared
+// decodeShape is what the decode pass gathers for the coster beyond the
+// batch size: the rows' total context, costed at the (rounded-up) mean —
+// KV traffic is linear in total context, so the mean is exact for the
+// memory-bound path — and, with prefix sharing, how many of the rows'
+// block reads repeat blocks an earlier row already read (dedupRow). The
+// repeats are flagged so the roofline's TLB/enclave working set counts
+// each shared page once.
+type decodeShape struct {
+	ctx, repeats int
 }
 
-// chunkTime costs a batched prefill-chunk step: batch rows each computing
-// chunk new prompt tokens over hist cached ones.
-func (s *scheduler) chunkTime(batch, chunk, hist int) (float64, error) {
-	return s.coster.ChunkTime(batch, chunk, hist)
+// startShape empties shape and starts a new dedup pass for it.
+func (s *scheduler) startShape(shape *decodeShape) {
+	*shape = decodeShape{}
+	if s.cfg.PrefixSharing {
+		s.kv.startDedup()
+	}
 }
 
 // finishIteration commits the round's prefill progress and token
@@ -803,57 +816,6 @@ func (s *scheduler) finishIteration() {
 	decoding, chunks := s.decoding, s.chunks
 	now := float64(s.eng.Now())
 	s.roundProduced = 0
-	produce := func(r *reqState) {
-		r.generated++
-		s.producedTot++
-		s.roundProduced++
-		if r.firstTokenAt == 0 {
-			r.firstTokenAt = now
-			if s.obs != nil {
-				s.event(Event{Kind: EvFirstToken, ReqID: r.req.ID})
-			}
-		}
-		if s.handoff != nil && r.generated == 1 && r.generated < r.req.OutputLen {
-			// Prefill-role replica: the request stops here with its first
-			// token delivered. It leaves the batch now (its KV blocks stay
-			// held until the source drain completes) and the dispatch layer
-			// prices its handoff after this round's events are emitted.
-			r.phase = phaseHandoff
-			for i, cand := range s.running {
-				if cand == r {
-					s.running = append(s.running[:i], s.running[i+1:]...)
-					break
-				}
-			}
-			s.handoffQ = append(s.handoffQ, r)
-			return
-		}
-		if r.generated >= r.req.OutputLen {
-			s.kv.release(&r.kv)
-			r.phase = phaseFinished
-			r.finishedAt = now
-			if r.acc != nil {
-				r.acc.observe(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
-			}
-			for i, cand := range s.running {
-				if cand == r {
-					s.running = append(s.running[:i], s.running[i+1:]...)
-					break
-				}
-			}
-			if s.obs != nil {
-				// Same arithmetic as report(): the event's SLO verdict is
-				// bit-identical to the aggregate's.
-				ttft := r.firstTokenAt - r.req.ArrivalSec
-				tpotOK := true
-				if r.generated > 1 {
-					tpotOK = (r.finishedAt-r.firstTokenAt)/float64(r.generated-1) <= s.cfg.TPOTSLOSec
-				}
-				s.event(Event{Kind: EvFinish, ReqID: r.req.ID, Tokens: r.generated,
-					SLOMet: ttft <= s.cfg.TTFTSLOSec && tpotOK})
-			}
-		}
-	}
 	// Prefill chunks commit their progress; a chunk that completes the
 	// prompt produces the request's next token (the first, or — after
 	// preemption — the one the recomputed cache enables). Completed prefix
@@ -869,13 +831,23 @@ func (s *scheduler) finishIteration() {
 		r.prefilled += cw.tokens
 		s.kv.markComputed(&r.kv, r.prefilled)
 		if !r.prefilling() {
-			produce(r)
+			s.produce(r, now)
 		}
 	}
 	for _, r := range decoding {
-		if r.phase == phaseRunning {
-			produce(r)
+		if r.phase != phaseRunning {
+			continue
 		}
+		// Most decode tokens are neither a request's first nor its last, nor
+		// a prefill replica's handoff point: count those here, inline, and
+		// leave the rest to produce.
+		if g := r.generated + 1; r.firstTokenAt != 0 && g < r.req.OutputLen && (g != 1 || s.handoff == nil) {
+			r.generated = g
+			s.producedTot++
+			s.roundProduced++
+			continue
+		}
+		s.produce(r, now)
 	}
 	if s.obs != nil {
 		s.event(Event{Kind: EvDecodeRound, ReqID: -1, Tokens: s.roundProduced, Hist: len(decoding),
@@ -906,6 +878,61 @@ func (s *scheduler) finishIteration() {
 	s.progress()
 	s.iterating = false
 	s.kick()
+}
+
+// produce delivers one output token of a running request at time now:
+// its first token (a prefill-role replica then hands the request off),
+// its last (the request finishes), or one in between.
+func (s *scheduler) produce(r *reqState, now float64) {
+	r.generated++
+	s.producedTot++
+	s.roundProduced++
+	if r.firstTokenAt == 0 {
+		r.firstTokenAt = now
+		if s.obs != nil {
+			s.event(Event{Kind: EvFirstToken, ReqID: r.req.ID})
+		}
+	}
+	if s.handoff != nil && r.generated == 1 && r.generated < r.req.OutputLen {
+		// Prefill-role replica: the request stops here with its first
+		// token delivered. It leaves the batch now (its KV blocks stay
+		// held until the source drain completes) and the dispatch layer
+		// prices its handoff after this round's events are emitted.
+		r.phase = phaseHandoff
+		for i, cand := range s.running {
+			if cand == r {
+				s.running = append(s.running[:i], s.running[i+1:]...)
+				break
+			}
+		}
+		s.handoffQ = append(s.handoffQ, r)
+		return
+	}
+	if r.generated >= r.req.OutputLen {
+		s.kv.release(&r.kv)
+		r.phase = phaseFinished
+		r.finishedAt = now
+		for i, cand := range s.running {
+			if cand == r {
+				s.running = append(s.running[:i], s.running[i+1:]...)
+				break
+			}
+		}
+		if s.obs != nil {
+			// Same arithmetic as report(): the event's SLO verdict is
+			// bit-identical to the aggregate's.
+			ttft := r.firstTokenAt - r.req.ArrivalSec
+			tpotOK := true
+			if r.generated > 1 {
+				tpotOK = (r.finishedAt-r.firstTokenAt)/float64(r.generated-1) <= s.cfg.TPOTSLOSec
+			}
+			s.event(Event{Kind: EvFinish, ReqID: r.req.ID, Tokens: r.generated,
+				SLOMet: ttft <= s.cfg.TTFTSLOSec && tpotOK})
+		}
+		if r.acc != nil {
+			r.acc.observe(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec) // last use: r is recycled
+		}
+	}
 }
 
 // report assembles the run outcome.
@@ -1043,7 +1070,7 @@ func RunAudited(be Backend, cfg Config) (*Report, AdmitOrder, error) {
 		be.CPU.Sockets = 1
 	}
 	noise := newNoise(be, cfg.Seed)
-	s, err := newScheduler(be, cfg, sim.NewEngine(), noise)
+	s, err := newScheduler(be, &cfg, sim.NewEngine(), noise)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1055,7 +1082,7 @@ func RunAudited(be Backend, cfg Config) (*Report, AdmitOrder, error) {
 	// their draws there keeps step noise on the sample path it has always
 	// had, drawn after the whole offered load.
 	skipArrivals(cfg, noise.RNG())
-	l := newLedger(cfg)
+	l := newLedger(&cfg)
 	if l.acc == nil {
 		s.admitOrder = make([]int, 0, src.n)
 		l.states = make([]*reqState, 0, src.n)

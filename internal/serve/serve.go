@@ -158,8 +158,10 @@ func (b Backend) platformName() string {
 	return b.CPU.Platform.Name
 }
 
-// protected reports whether the backend runs under TEE guarantees.
-func (b Backend) protected() bool {
+// protected reports whether the backend runs under TEE guarantees. The
+// scheduler asks once per round; a pointer receiver keeps that from
+// copying the Backend.
+func (b *Backend) protected() bool {
 	if b.IsGPU {
 		return b.GPU.Platform.Protected
 	}
@@ -689,12 +691,8 @@ func quantiles(xs []float64) Quantiles {
 	if len(xs) == 0 {
 		return Quantiles{}
 	}
-	return Quantiles{
-		Mean: stats.Mean(xs),
-		P50:  stats.Percentile(xs, 50),
-		P95:  stats.Percentile(xs, 95),
-		P99:  stats.Percentile(xs, 99),
-	}
+	ps := stats.Percentiles(xs, 50, 95, 99)
+	return Quantiles{Mean: stats.Mean(xs), P50: ps[0], P95: ps[1], P99: ps[2]}
 }
 
 // sketchQuantiles summarizes a streaming sketch in the report's Quantiles

@@ -4,27 +4,36 @@ import "cllm/internal/stats"
 
 // ledger owns the outcomes of the requests dispatched to one replica,
 // wherever they finish: it retains their states in exact mode and hands
-// them a streaming accumulator in sketch mode.
+// them a streaming accumulator in sketch mode, where finished states are
+// recycled (see streamAccum.free).
 type ledger struct {
 	states []*reqState
 	acc    *streamAccum
 	n      int
 }
 
-func newLedger(cfg Config) *ledger {
+func newLedger(cfg *Config) *ledger {
 	if cfg.QuantileMode == QuantileSketch {
 		return &ledger{acc: newStreamAccum(cfg.SketchAlpha)}
 	}
 	return &ledger{}
 }
 
-// own records an arriving request and returns its state.
+// own records an arriving request and returns its state: in sketch mode a
+// finished request's recycled state, zeroed, when one is free.
 func (l *ledger) own(req Request) *reqState {
-	st := &reqState{req: req, acc: l.acc}
-	if l.acc == nil {
-		l.states = append(l.states, st)
-	}
 	l.n++
+	if a := l.acc; a != nil {
+		if n := len(a.free); n > 0 {
+			st := a.free[n-1]
+			a.free = a.free[:n-1]
+			*st = reqState{req: req, acc: a}
+			return st
+		}
+		return &reqState{req: req, acc: a}
+	}
+	st := &reqState{req: req}
+	l.states = append(l.states, st)
 	return st
 }
 
@@ -47,6 +56,16 @@ type streamAccum struct {
 	goodReqs, goodTokens, completedTokens int
 	completedByClass                      [NumClasses]int
 	goodTokensByClass                     [NumClasses]int
+
+	// free holds the states of finished requests for own to reuse, so a
+	// run allocates as many states as it ever has in flight, not one per
+	// request. Only completion recycles: a finished request has left every
+	// queue, its hold is released, and the handoff closures that captured
+	// it ran before it reached its decode replica. Drops are not recycled
+	// — they are rare outside fault-injection runs, and a dropped state
+	// goes through queue walks and retry bookkeeping that were not written
+	// to expect its reuse.
+	free []*reqState
 }
 
 func newStreamAccum(alpha float64) *streamAccum {
@@ -63,7 +82,8 @@ func newStreamAccum(alpha float64) *streamAccum {
 }
 
 // observe folds one finished request in, with the same SLO arithmetic
-// report() applies to retained states.
+// report() applies to retained states, and frees its state for reuse: the
+// caller must not touch st afterwards.
 func (a *streamAccum) observe(st *reqState, ttftSLO, tpotSLO float64) {
 	ttft := st.firstTokenAt - st.req.ArrivalSec
 	// Simulated times are finite by construction, so Add cannot fail.
@@ -85,6 +105,7 @@ func (a *streamAccum) observe(st *reqState, ttftSLO, tpotSLO float64) {
 		a.goodTokens += st.generated
 		a.goodTokensByClass[st.req.Class] += st.generated
 	}
+	a.free = append(a.free, st)
 }
 
 // buildStreamReport assembles the sketched report of the requests a owns

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cllm/internal/sim"
 	"cllm/internal/stats"
 	"cllm/internal/tee"
 	"cllm/internal/workload"
@@ -405,4 +406,95 @@ func BenchmarkServeSchedulerSketch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestRecycledStateIsFresh takes a sketch-mode state through a prefix
+// pin, a swap-out preemption, a swap-in and re-pin, and completion. Once
+// observed it must come back from the ledger as the next request's state,
+// field for field equal to a freshly allocated one.
+func TestRecycledStateIsFresh(t *testing.T) {
+	cfg := tinyConfig(1, 1)
+	cfg.QuantileMode = QuantileSketch
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	l := newLedger(&cfg)
+	m, err := NewBlockManager(64*64, 16, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ConfigureSwapPool(16)
+	st := l.own(Request{ID: 1, ArrivalSec: 0.5, InputLen: 96, OutputLen: 4, PrefixID: 3, PrefixLen: 64, Class: 1})
+	admit := func() {
+		if _, err := m.acquirePrefix(&st.kv, prefixHash(3), 64); err != nil {
+			t.Fatal(err)
+		}
+		if !m.grow(&st.kv, 97) {
+			t.Fatal("grow failed on an empty pool")
+		}
+		m.markComputed(&st.kv, 64)
+		st.phase, st.prefilled, st.prefillTarget = phaseRunning, 96, 96
+	}
+	admit()
+	st.admitted, st.admittedAt, st.deadline = true, 0.6, 2.5
+	st.generated, st.firstTokenAt = 1, 0.7
+	if !m.swapOut(&st.kv, 97) {
+		t.Fatal("swap-out rejected")
+	}
+	st.swapped, st.swappedTokens, st.preemptions, st.phase = true, 97, 1, phaseWaiting
+	m.swapIn(&st.kv)
+	st.swapped, st.swappedTokens = false, 0
+	admit()
+	if len(st.kv.pins) != 4 || st.kv.owner != m {
+		t.Fatalf("re-admitted state pins %d blocks", len(st.kv.pins))
+	}
+	// Completion, as finishIteration runs it.
+	st.generated, st.attempt = 4, 1
+	m.release(&st.kv)
+	st.phase, st.finishedAt = phaseFinished, 0.9
+	l.acc.observe(st, 1, 1)
+
+	req := Request{ID: 2, ArrivalSec: 1, InputLen: 10, OutputLen: 2}
+	got := l.own(req)
+	if got != st {
+		t.Fatal("own allocated a new state while a finished one was free")
+	}
+	if want := (reqState{req: req, acc: l.acc}); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("recycled state %+v, want a fresh %+v", *got, want)
+	}
+	if err := m.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSketchRunRecyclesStates: a sketch-mode replica serving 10⁵ requests
+// allocates no more states than it ever had in flight. Every request
+// completes, so at the end every state it allocated is on the free list.
+func TestSketchRunRecyclesStates(t *testing.T) {
+	cfg := tinyConfig(20, 100_000)
+	cfg.QuantileMode = QuantileSketch
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine()
+	rep, err := NewReplica(cpuBackend(tee.TDX()), cfg, eng, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	err = Drive(eng, cfg, func(req Request) {
+		rep.Submit(req)
+		peak = max(peak, rep.Outstanding())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.Report(); r.Completed != cfg.Requests {
+		t.Fatalf("completed %d of %d", r.Completed, cfg.Requests)
+	}
+	states := len(rep.ledger.acc.free)
+	if states == 0 || states > peak || peak > 100 {
+		t.Fatalf("%d states allocated for %d requests with at most %d in flight", states, cfg.Requests, peak)
+	}
+	t.Logf("%d states for %d requests, at most %d in flight", states, cfg.Requests, peak)
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // DefaultSketchAlpha is the relative-error bound serving runs use unless
@@ -26,12 +25,14 @@ const DefaultSketchAlpha = 0.01
 //     bit-identical quantiles to sketching the union stream. (Sum is a
 //     float accumulator and only reorder-tolerant, not bit-stable.)
 //   - Determinism: quantiles depend only on the bucket multiset, never
-//     on insertion order or map iteration order.
+//     on insertion order.
 //
-// Memory is O(buckets): bounded by the dynamic range of the data, not by
-// n (float64's full positive range spans ~75k buckets at alpha 0.01; real
-// latency streams occupy a few hundred). The zero value is not usable —
-// construct with NewSketch.
+// Bucket counts live in dense stores (DDSketch's dense store): one int64
+// cell per key between the smallest and largest key seen, so Add is an
+// array increment and quantile walks need no sort. Memory is bounded by
+// the dynamic range of the data, not by n (float64's full positive range
+// spans ~75k keys at alpha 0.01; real latency streams span a few
+// hundred). The zero value is not usable — construct with NewSketch.
 type Sketch struct {
 	alpha   float64
 	gamma   float64
@@ -39,9 +40,8 @@ type Sketch struct {
 
 	// pos/neg hold counts per geometric bucket for positive and negative
 	// observations (neg is keyed by |x|); zero counts exact zeros.
-	pos  map[int]int64
-	neg  map[int]int64
-	zero int64
+	pos, neg denseStore
+	zero     int64
 
 	count    int64
 	sum      float64
@@ -60,8 +60,6 @@ func NewSketch(alpha float64) (*Sketch, error) {
 		alpha:   alpha,
 		gamma:   gamma,
 		lnGamma: math.Log(gamma),
-		pos:     map[int]int64{},
-		neg:     map[int]int64{},
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}, nil
@@ -102,10 +100,10 @@ func (s *Sketch) Max() float64 {
 	return s.max
 }
 
-// Buckets returns the number of occupied buckets — the sketch's memory
-// footprint in O(1)-sized cells.
+// Buckets returns the number of occupied buckets: distinct bucket keys
+// holding at least one observation, plus one for exact zeros.
 func (s *Sketch) Buckets() int {
-	n := len(s.pos) + len(s.neg)
+	n := s.pos.occupied + s.neg.occupied
 	if s.zero > 0 {
 		n++
 	}
@@ -133,9 +131,9 @@ func (s *Sketch) Add(x float64) error {
 	}
 	switch {
 	case x > 0:
-		s.pos[s.key(x)]++
+		s.pos.add(s.key(x), 1)
 	case x < 0:
-		s.neg[s.key(-x)]++
+		s.neg.add(s.key(-x), 1)
 	default:
 		s.zero++
 	}
@@ -161,12 +159,8 @@ func (s *Sketch) Merge(o *Sketch) error {
 	if o.alpha != s.alpha {
 		return fmt.Errorf("stats: sketch alpha mismatch: %g vs %g", s.alpha, o.alpha)
 	}
-	for k, c := range o.pos {
-		s.pos[k] += c
-	}
-	for k, c := range o.neg {
-		s.neg[k] += c
-	}
+	s.pos.merge(&o.pos)
+	s.neg.merge(&o.neg)
 	s.zero += o.zero
 	s.count += o.count
 	s.sum += o.sum
@@ -181,10 +175,10 @@ func (s *Sketch) Merge(o *Sketch) error {
 	return nil
 }
 
-// Reset empties the sketch in place, keeping its bucket maps' capacity.
+// Reset empties the sketch in place, keeping its stores' capacity.
 func (s *Sketch) Reset() {
-	clear(s.pos)
-	clear(s.neg)
+	s.pos.reset()
+	s.neg.reset()
 	s.zero = 0
 	s.count = 0
 	s.sum = 0
@@ -196,7 +190,7 @@ func (s *Sketch) Reset() {
 // midpoint covering the rank-floor(q·(count−1)) order statistic, clamped
 // to the exact [Min, Max] envelope. Results are within alpha relative
 // error of that order statistic, nondecreasing in q, and deterministic
-// (bucket keys are walked in sorted order). Returns 0 on an empty sketch.
+// (bucket keys are walked in ascending order). Returns 0 on an empty sketch.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.count == 0 {
 		return 0
@@ -210,24 +204,20 @@ func (s *Sketch) Quantile(q float64) float64 {
 	idx := int64(q * float64(s.count-1))
 	rank := int64(0)
 	// Ascending value order: most-negative first (descending |x| keys),
-	// then zeros, then positives (ascending keys).
-	if len(s.neg) > 0 {
-		keys := sortedKeys(s.neg)
-		for i := len(keys) - 1; i >= 0; i-- {
-			rank += s.neg[keys[i]]
-			if rank > idx {
-				return s.clamp(-s.bucketValue(keys[i]))
-			}
+	// then zeros, then positives (ascending keys). Empty cells leave the
+	// rank unchanged, so walking them is the same as skipping them.
+	for i := len(s.neg.counts) - 1; i >= 0; i-- {
+		if rank += s.neg.counts[i]; rank > idx {
+			return s.clamp(-s.bucketValue(s.neg.offset + i))
 		}
 	}
 	rank += s.zero
 	if rank > idx {
 		return s.clamp(0)
 	}
-	for _, k := range sortedKeys(s.pos) {
-		rank += s.pos[k]
-		if rank > idx {
-			return s.clamp(s.bucketValue(k))
+	for i, c := range s.pos.counts {
+		if rank += c; rank > idx {
+			return s.clamp(s.bucketValue(s.pos.offset + i))
 		}
 	}
 	return s.max
@@ -246,7 +236,7 @@ func (s *Sketch) CountLE(x float64) int64 {
 		return 0
 	}
 	n := s.zero
-	for _, c := range s.neg {
+	for _, c := range s.neg.counts {
 		n += c
 	}
 	if x == 0 {
@@ -255,11 +245,10 @@ func (s *Sketch) CountLE(x float64) int64 {
 	if math.IsInf(x, 1) || x >= s.max {
 		return s.count
 	}
-	kx := s.key(x)
-	for k, c := range s.pos {
-		if k <= kx {
-			n += c
-		}
+	// Cells up to key(x), clipped to the store.
+	last := min(s.key(x)-s.pos.offset, len(s.pos.counts)-1)
+	for _, c := range s.pos.counts[:max(last+1, 0)] {
+		n += c
 	}
 	return n
 }
@@ -278,11 +267,63 @@ func (s *Sketch) clamp(v float64) float64 {
 	return v
 }
 
-func sortedKeys(m map[int]int64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// denseStore counts observations per bucket key in one contiguous array:
+// counts[i] is the count of key offset+i. It grows at either end to cover
+// a new key and keeps its array across reset.
+type denseStore struct {
+	counts   []int64
+	offset   int // key of counts[0]
+	occupied int // cells with a nonzero count
+}
+
+// add counts c more observations (c > 0) in key k's cell.
+func (d *denseStore) add(k int, c int64) {
+	i := k - d.offset
+	if i < 0 || i >= len(d.counts) {
+		d.grow(k)
+		i = k - d.offset
 	}
-	sort.Ints(keys)
-	return keys
+	if d.counts[i] == 0 {
+		d.occupied++
+	}
+	d.counts[i] += c
+}
+
+// merge adds o's counts cell by cell.
+func (d *denseStore) merge(o *denseStore) {
+	for i, c := range o.counts {
+		if c != 0 {
+			d.add(o.offset+i, c)
+		}
+	}
+}
+
+// grow extends the array to cover key k, which lies outside it. The grown
+// side gets slack of half the new span (at least storeSlack cells), so a
+// store that keeps growing copies O(log span) times.
+func (d *denseStore) grow(k int) {
+	if len(d.counts) == 0 {
+		d.counts, d.offset = make([]int64, 2*storeSlack+1), k-storeSlack
+		return
+	}
+	lo, hi := d.offset, d.offset+len(d.counts)-1
+	slack := max((max(hi, k)-min(lo, k)+1)/2, storeSlack)
+	newLo, newHi := lo, hi
+	if k < lo {
+		newLo = k - slack
+	} else {
+		newHi = k + slack
+	}
+	grown := make([]int64, newHi-newLo+1)
+	copy(grown[lo-newLo:], d.counts)
+	d.counts, d.offset = grown, newLo
+}
+
+// storeSlack is the least growth of a store side, in cells.
+const storeSlack = 32
+
+// reset zeroes every cell, keeping the array and its key range.
+func (d *denseStore) reset() {
+	clear(d.counts)
+	d.occupied = 0
 }

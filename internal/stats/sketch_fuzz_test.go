@@ -89,3 +89,97 @@ func FuzzSketchQuantiles(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSketchDenseOracle drives two sketches and their map-store
+// references (mapSketch) through the same operations, decoded from the
+// input nine bytes at a time: an op byte and a float64. Ops add the value
+// as given (any sign, zero, non-finite, subnormal or huge), its negation,
+// an exact zero, a value near 1 ms, or a value scaled far away to the
+// second sketch; merge the second sketch into the first (often a disjoint
+// key range) and reset it; or reset the first, reusing its stores. After
+// every merge and reset, and at the end, Quantile at fixed q, CountLE,
+// Buckets, Count, Min and Max must equal the reference's bit for bit.
+// Run with `go test -fuzz=FuzzSketchDenseOracle ./internal/stats`.
+func FuzzSketchDenseOracle(f *testing.F) {
+	op := func(code byte, v float64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{code}, math.Float64bits(v))
+	}
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	f.Add(cat(op(0, 0.02), op(0, 0.5), op(1, 3), op(2, 0), op(4, 7), op(5, 0)))
+	f.Add(cat(op(4, 1e-300), op(4, 1e300), op(6, 0), op(0, 5e-324), op(0, math.MaxFloat64), op(7, 0), op(0, 0.003)))
+	f.Add(cat(op(3, 0.001), op(3, 0.1), op(1, 2), op(7, 0), op(0, 1), op(0, -1), op(6, 0), op(4, -1e-200)))
+	f.Add(cat(op(0, math.NaN()), op(0, math.Inf(1)), op(1, math.Inf(-1)), op(2, 0), op(7, 0)))
+	f.Add(cat(op(0, 1), op(7, 0), op(0, 1e10), op(0, -1e-10), op(7, 0), op(3, 50)))
+
+	qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sk [2]*Sketch
+		var ref [2]*mapSketch
+		for i := range sk {
+			s, err := NewSketch(DefaultSketchAlpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sk[i], ref[i] = s, newMapSketch(s)
+		}
+		add := func(i int, x float64) {
+			_ = sk[i].Add(x)
+			ref[i].add(x)
+		}
+		check := func(when string) {
+			s, r := sk[0], ref[0]
+			if s.Count() != r.count || s.Buckets() != r.buckets() {
+				t.Fatalf("%s: count %d buckets %d, reference %d and %d", when, s.Count(), s.Buckets(), r.count, r.buckets())
+			}
+			if r.count > 0 && (s.Min() != r.min || s.Max() != r.max) {
+				t.Fatalf("%s: min/max %g/%g, reference %g/%g", when, s.Min(), s.Max(), r.min, r.max)
+			}
+			for _, q := range qs {
+				if got, want := s.Quantile(q), r.quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Quantile(%g) = %g, reference %g", when, q, got, want)
+				}
+			}
+			for _, x := range []float64{-1, 0, 1e-3, 0.02, 1, 1e3, r.min, r.max, -r.min, math.Inf(1)} {
+				if got, want := s.CountLE(x), r.countLE(x); got != want {
+					t.Fatalf("%s: CountLE(%g) = %d, reference %d", when, x, got, want)
+				}
+			}
+		}
+		for ; len(data) >= 9; data = data[9:] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data[1:9]))
+			switch data[0] % 8 {
+			case 0:
+				add(0, v)
+			case 1:
+				add(0, -v)
+			case 2:
+				add(0, 0)
+			case 3: // a dense cluster near 1 ms
+				add(0, 1e-3*(1+float64(data[1])/64))
+			case 4: // the second sketch, far from the first's keys
+				add(1, v*1e150)
+			case 5:
+				add(1, -v)
+			case 6:
+				if err := sk[0].Merge(sk[1]); err != nil {
+					t.Fatal(err)
+				}
+				ref[0].merge(ref[1])
+				check("merge")
+				sk[1].Reset()
+				ref[1].reset()
+			case 7:
+				sk[0].Reset()
+				ref[0].reset()
+				check("reset")
+			}
+		}
+		check("end")
+	})
+}

@@ -356,3 +356,152 @@ func TestSketchCountLE(t *testing.T) {
 		}
 	}
 }
+
+// mapSketch is the sketch with its buckets in maps keyed by bucket key,
+// walked in sorted key order: the store the dense arrays replaced, kept as
+// the reference FuzzSketchDenseOracle compares them with. It borrows the
+// real sketch's key and midpoint arithmetic, which the stores share.
+type mapSketch struct {
+	math     *Sketch
+	pos, neg map[int]int64
+	zero     int64
+	count    int64
+	min, max float64
+}
+
+func newMapSketch(sk *Sketch) *mapSketch {
+	r := &mapSketch{math: sk}
+	r.reset()
+	return r
+}
+
+func (r *mapSketch) reset() {
+	r.pos, r.neg = map[int]int64{}, map[int]int64{}
+	r.zero, r.count = 0, 0
+	r.min, r.max = math.Inf(1), math.Inf(-1)
+}
+
+func (r *mapSketch) add(x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return
+	}
+	switch {
+	case x > 0:
+		r.pos[r.math.key(x)]++
+	case x < 0:
+		r.neg[r.math.key(-x)]++
+	default:
+		r.zero++
+	}
+	r.count++
+	r.min, r.max = lower(r.min, x), higher(r.max, x)
+}
+
+// lower and higher keep the first of two equal values (so −0 and +0 stay
+// as first seen), as the sketch's own min/max comparisons do.
+func lower(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+func higher(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	return a
+}
+
+func (r *mapSketch) merge(o *mapSketch) {
+	for k, c := range o.pos {
+		r.pos[k] += c
+	}
+	for k, c := range o.neg {
+		r.neg[k] += c
+	}
+	r.zero += o.zero
+	r.count += o.count
+	if o.count > 0 {
+		r.min, r.max = lower(r.min, o.min), higher(r.max, o.max)
+	}
+}
+
+func (r *mapSketch) buckets() int {
+	n := len(r.pos) + len(r.neg)
+	if r.zero > 0 {
+		n++
+	}
+	return n
+}
+
+func (r *mapSketch) clamp(v float64) float64 {
+	if v < r.min {
+		return r.min
+	}
+	if v > r.max {
+		return r.max
+	}
+	return v
+}
+
+func (r *mapSketch) quantile(q float64) float64 {
+	if r.count == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return r.min
+	}
+	if q >= 1 {
+		return r.max
+	}
+	idx := int64(q * float64(r.count-1))
+	rank := int64(0)
+	keys := sortedMapKeys(r.neg)
+	for i := len(keys) - 1; i >= 0; i-- {
+		if rank += r.neg[keys[i]]; rank > idx {
+			return r.clamp(-r.math.bucketValue(keys[i]))
+		}
+	}
+	if rank += r.zero; rank > idx {
+		return r.clamp(0)
+	}
+	for _, k := range sortedMapKeys(r.pos) {
+		if rank += r.pos[k]; rank > idx {
+			return r.clamp(r.math.bucketValue(k))
+		}
+	}
+	return r.max
+}
+
+func (r *mapSketch) countLE(x float64) int64 {
+	if x < 0 || math.IsNaN(x) {
+		return 0
+	}
+	n := r.zero
+	for _, c := range r.neg {
+		n += c
+	}
+	if x == 0 {
+		return n
+	}
+	if math.IsInf(x, 1) || x >= r.max {
+		return r.count
+	}
+	kx := r.math.key(x)
+	for k, c := range r.pos {
+		if k <= kx {
+			n += c
+		}
+	}
+	return n
+}
+
+func sortedMapKeys(m map[int]int64) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}

@@ -43,6 +43,27 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return sortedPercentile(sorted, p)
+}
+
+// Percentiles returns Percentile(xs, p) for each p, bit for bit, sorting
+// one copy of xs once instead of once per percentile. It returns nil for
+// an empty xs.
+func Percentiles(xs []float64, ps ...float64) []float64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = sortedPercentile(sorted, p)
+	}
+	return out
+}
+
+// sortedPercentile is Percentile over an already sorted, non-empty slice.
+func sortedPercentile(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}

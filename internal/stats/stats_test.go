@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -109,5 +110,38 @@ func TestFilterZScoreProperty(t *testing.T) {
 		return StdDev(kept) <= StdDev(clean)
 	}, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPercentilesMatchesPercentile: the sort-once helper returns exactly
+// Percentile's value at every p — fixed report percentiles, the clamped
+// ends, and random fractional ranks — over random samples with ties, and
+// leaves its input unsorted.
+func TestPercentilesMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	if got := Percentiles(nil, 50); got != nil {
+		t.Fatalf("Percentiles of no samples = %v, want nil", got)
+	}
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, 1+rng.Intn(300))
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * 10
+			if rng.Intn(5) == 0 && i > 0 {
+				xs[i] = xs[rng.Intn(i)] // ties
+			}
+		}
+		orig := append([]float64(nil), xs...)
+		ps := []float64{-5, 0, 1, 25, 50, 95, 99, 99.9, 100, 150, rng.Float64() * 100, rng.Float64() * 100}
+		got := Percentiles(xs, ps...)
+		for i, p := range ps {
+			if want := Percentile(xs, p); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d: Percentiles at p=%g = %v, Percentile %v", trial, p, got[i], want)
+			}
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("trial %d: Percentiles reordered its input", trial)
+			}
+		}
 	}
 }

@@ -6,16 +6,13 @@ import (
 	"strings"
 
 	"cllm/internal/autoscale"
-	"cllm/internal/model"
-	"cllm/internal/obs"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
-	"cllm/internal/trace"
-	"cllm/internal/workload"
 )
 
 // AutoscaleClass selects one replica class of an elastic heterogeneous
 // fleet: a platform plus the replica-count bounds the operator allows.
+// Each class contributes Max replica slots, numbered fleet-wide in class
+// order; a FaultConfig.Plan index names one of these slots.
 type AutoscaleClass struct {
 	// Platform is a Config.Platform name (baremetal, tdx, sgx, cgpu, ...).
 	Platform string
@@ -62,21 +59,17 @@ func ParseClasses(s string) ([]AutoscaleClass, error) {
 	return out, nil
 }
 
-// AutoscaleConfig describes an elastic serving run: a traffic scenario
-// against a heterogeneous fleet of TEE replica classes behind a reactive
-// target-tracking scaler.
-type AutoscaleConfig struct {
-	// Model is a zoo name (default "llama2-7b"); DType as in Workload.
-	Model, DType string
-	// System is the CPU testbed for CPU classes (default EMR1).
-	System string
-	// Scenario names the traffic scenario (default "bursty"); RatePerSec
-	// is its mean arrival rate (default 4).
-	Scenario   string
-	RatePerSec float64
-	// Requests is the number of arrivals to simulate (default 256).
-	Requests int
-	// Classes are the fleet's replica classes (required).
+// AutoscaleOptions turns a serving run into an elastic heterogeneous
+// fleet: replica classes behind a reactive target-tracking scaler. Every
+// other ServeConfig setting (model, load, scheduler, SLOs, faults,
+// observation, attribution) applies to the elastic run as to a fixed one,
+// per replica where it is a per-replica knob; Sockets and Cores select the
+// deployment of CPU classes.
+type AutoscaleOptions struct {
+	// Classes are the fleet's replica classes (required). Each class's
+	// platform opens as a sub-session of the serving session (same testbed,
+	// enclave size, seed and attestation policy); the session's own
+	// platform does not serve.
 	Classes []AutoscaleClass
 	// Dispatch is "uniform" or "cost-aware" (default "cost-aware").
 	Dispatch string
@@ -92,30 +85,6 @@ type AutoscaleConfig struct {
 	// NoColdStart zeroes every class's cold start — the counterfactual
 	// baseline quantifying what enclave build + attestation cost at scale.
 	NoColdStart bool
-	// MaxBatch caps concurrent sequences per replica (default 32).
-	MaxBatch int
-	// ChunkTokens enables chunked prefill per replica (0 = monolithic).
-	ChunkTokens int
-	// PrefixSharing enables each replica's block-level prefix cache; the
-	// scenario's shape mixes define the shared-prefix groups.
-	PrefixSharing bool
-	// PreemptPolicy selects each replica's preemption policy:
-	// "recompute" (default), "swap", or "auto" (see ServeConfig).
-	PreemptPolicy string
-	// Sockets selects the CPU deployment for CPU classes (default 1).
-	Sockets int
-	// CostBucket quantizes the memoized step costing (tokens; default 1 =
-	// exact, bit-identical to the unmemoized cost model). See
-	// serve.Config.CostBucket.
-	CostBucket int
-	// TTFTSLOSec / TPOTSLOSec are SLO targets (defaults 5 s / 0.5 s).
-	TTFTSLOSec, TPOTSLOSec float64
-	// Seed drives arrivals and every noise stream.
-	Seed int64
-	// Observe / ObserveWindowSec record the elastic run's lifecycle event
-	// stream and time series, as in ServeConfig.
-	Observe          bool
-	ObserveWindowSec float64
 }
 
 // AutoscaleClassReport is one class's consumption over the run.
@@ -131,135 +100,64 @@ type AutoscaleClassReport struct {
 	ColdStarts        int
 }
 
-// AutoscaleWindow is one control-loop interval of the time series.
-type AutoscaleWindow struct {
-	StartSec        float64
-	Arrivals        int
-	Backlog         int
-	DemandReqPerSec float64
-	// Active / Available are per-class replica counts (billed / servable),
-	// in Classes order.
-	Active, Available []int
-}
+// AutoscaleWindow is one control-loop interval of the time series:
+// StartSec, Arrivals, the Backlog at its end, the scaler's
+// DemandReqPerSec estimate, and per-class Active (billed) and Available
+// (servable) replica counts in Classes order.
+type AutoscaleWindow = autoscale.Window
 
-// AutoscaleReport summarizes an elastic serving run.
+// AutoscaleReport holds the results only an elastic run has: what the
+// rented fleet cost, its cold starts, per-class usage and the control-loop
+// series. The request outcomes and latencies are in the ServeReport that
+// carries it.
 type AutoscaleReport struct {
-	Scenario    string
-	Dispatch    string
-	OfferedRate float64
-	// Completed / Dropped / Unfinished partition the offered requests.
-	Completed, Dropped, Unfinished int
-	// Preemptions and swap transfers across the whole elastic fleet.
-	Preemptions       int
-	SwapOuts, SwapIns int
-	SLOAttainment     float64
-	// TotalTokens is the fleet's output-token production.
-	TotalTokens               int
-	GoodputTokensPerSec       float64
-	TTFTp50, TTFTp99, TPOTp99 float64
+	Dispatch string
 	// ReplicaHours / CostUSD total the rented fleet over the run;
 	// USDPerMTok prices SLO-compliant served tokens (Inf when none).
 	ReplicaHours, CostUSD, USDPerMTok float64
 	ColdStarts                        int
 	Classes                           []AutoscaleClassReport
 	Windows                           []AutoscaleWindow
-	// Observation holds the rendered observability artifacts (nil unless
-	// AutoscaleConfig.Observe was set).
-	Observation *ServeObservation
 }
 
-// Autoscale simulates cost-aware elastic serving across heterogeneous TEE
-// replica classes: each class's backend is opened (and attested) like a
-// Session, its cold start is derived from the platform's provisioning
+// runAutoscale simulates cost-aware elastic serving across heterogeneous
+// TEE replica classes: each class's backend is opened (and attested) as a
+// sub-session, its cold start is derived from the platform's provisioning
 // mechanisms (TD page acceptance, enclave EADD+EEXTEND, bounce-buffered
 // weight upload, attestation round-trip), and a reactive target-tracking
-// scaler activates and drains replicas as the scenario's arrival process
-// moves.
-func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
-	if len(cfg.Classes) == 0 {
-		return nil, fmt.Errorf("cllm: autoscaling needs at least one replica class")
+// scaler activates and drains replicas as the arrival process moves.
+func (s *Session) runAutoscale(cfg ServeConfig, scfg serve.Config) (*serve.Report, *AutoscaleReport, error) {
+	opts := cfg.Autoscale
+	if len(opts.Classes) == 0 {
+		return nil, nil, fmt.Errorf("cllm: autoscaling needs at least one replica class")
 	}
-	if cfg.Model == "" {
-		cfg.Model = "llama2-7b"
-	}
-	if cfg.Scenario == "" {
-		cfg.Scenario = "bursty"
-	}
-	if cfg.RatePerSec <= 0 {
-		cfg.RatePerSec = 4
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 256
-	}
-	kind, err := parseDType(cfg.DType)
+	dispatch, err := autoscale.ParseDispatch(opts.Dispatch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	mcfg, err := model.Lookup(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	scenario, err := workload.ParseScenario(cfg.Scenario, cfg.RatePerSec)
-	if err != nil {
-		return nil, err
-	}
-	dispatch := autoscale.CostAware
-	if cfg.Dispatch != "" {
-		dispatch, err = autoscale.ParseDispatch(cfg.Dispatch)
+	classes := make([]autoscale.Class, len(opts.Classes))
+	for i, ac := range opts.Classes {
+		sub, err := s.subSession(ac.Platform)
 		if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("cllm: autoscale class %q: %w", ac.Platform, err)
 		}
-	}
-
-	preempt, err := serve.ParsePreemptPolicy(cfg.PreemptPolicy)
-	if err != nil {
-		return nil, err
-	}
-
-	wl := trace.Workload{Model: mcfg, Kind: kind}
-	scfg := serve.Config{
-		Workload:      wl,
-		Scenario:      &scenario,
-		Requests:      cfg.Requests,
-		Seed:          cfg.Seed,
-		MaxBatch:      cfg.MaxBatch,
-		ChunkTokens:   cfg.ChunkTokens,
-		PrefixSharing: cfg.PrefixSharing,
-		CostBucket:    cfg.CostBucket,
-		PreemptPolicy: preempt,
-		TTFTSLOSec:    cfg.TTFTSLOSec, TPOTSLOSec: cfg.TPOTSLOSec,
-	}
-	var rec *obs.Recorder
-	if cfg.Observe {
-		rec = obs.NewRecorderWindow(cfg.ObserveWindowSec, 512)
-		scfg.Observer = rec
-	}
-	classes := make([]autoscale.Class, len(cfg.Classes))
-	for i, ac := range cfg.Classes {
-		sess, err := Open(Config{Platform: ac.Platform, System: cfg.System, Seed: cfg.Seed})
+		be := sub.serveBackend(cfg)
+		hourly, err := sub.serveHourlyUSD(cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		var be serve.Backend
-		if sess.isGPU {
-			be = serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: sess.gpu, Platform: sess.platform, Seed: cfg.Seed}}
-		} else {
-			be = serve.Backend{CPU: perf.CPURun{
-				CPU: sess.cpu, Platform: sess.platform,
-				Sockets: cfg.Sockets, AMX: true, Seed: cfg.Seed,
-			}}
-		}
-		hourly, err := sess.serveHourlyUSD(ServeConfig{Sockets: cfg.Sockets})
-		if err != nil {
-			return nil, err
+		// One costing table per class, shared by its capacity probe and
+		// every replica of the class.
+		if be.Coster, err = serve.NewStepCoster(be, scfg); err != nil {
+			return nil, nil, err
 		}
 		coldStart := 0.0
-		if !cfg.NoColdStart {
-			coldStart = serve.ColdStartSec(be, wl)
+		if !opts.NoColdStart {
+			coldStart = serve.ColdStartSec(be, scfg.Workload)
 		}
 		capacity, err := autoscale.ProbeCapacity(be, scfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		classes[i] = autoscale.Class{
 			Name: ac.Platform, Backend: be, HourlyUSD: hourly,
@@ -271,34 +169,20 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	rep, err := autoscale.Run(classes, autoscale.Config{
 		Serve:       scfg,
 		Dispatch:    dispatch,
-		IntervalSec: cfg.IntervalSec,
-		TargetUtil:  cfg.TargetUtil,
-		DemandAlpha: cfg.DemandAlpha,
+		IntervalSec: opts.IntervalSec,
+		TargetUtil:  opts.TargetUtil,
+		DemandAlpha: opts.DemandAlpha,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
 	out := &AutoscaleReport{
-		Scenario:            cfg.Scenario,
-		Dispatch:            rep.Dispatch,
-		OfferedRate:         rep.Aggregate.OfferedRate,
-		Completed:           rep.Aggregate.Completed,
-		Dropped:             rep.Aggregate.Dropped,
-		Unfinished:          rep.Aggregate.Unfinished,
-		Preemptions:         rep.Aggregate.Preemptions,
-		SwapOuts:            rep.Aggregate.SwapOuts,
-		SwapIns:             rep.Aggregate.SwapIns,
-		TotalTokens:         rep.Aggregate.TotalTokens,
-		SLOAttainment:       rep.SLOAttainment(),
-		GoodputTokensPerSec: rep.Aggregate.GoodputTokensPerSec,
-		TTFTp50:             rep.Aggregate.TTFT.P50,
-		TTFTp99:             rep.Aggregate.TTFT.P99,
-		TPOTp99:             rep.Aggregate.TPOT.P99,
-		ReplicaHours:        rep.ReplicaHours,
-		CostUSD:             rep.CostUSD,
-		USDPerMTok:          rep.USDPerMTok,
-		ColdStarts:          rep.ColdStarts,
+		Dispatch:     rep.Dispatch,
+		ReplicaHours: rep.ReplicaHours,
+		CostUSD:      rep.CostUSD,
+		USDPerMTok:   rep.USDPerMTok,
+		ColdStarts:   rep.ColdStarts,
+		Windows:      rep.Windows,
 	}
 	for i, u := range rep.Usage {
 		out.Classes = append(out.Classes, AutoscaleClassReport{
@@ -313,16 +197,5 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 			ColdStarts:        u.ColdStarts,
 		})
 	}
-	for _, w := range rep.Windows {
-		out.Windows = append(out.Windows, AutoscaleWindow{
-			StartSec: w.StartSec, Arrivals: w.Arrivals, Backlog: w.Backlog,
-			DemandReqPerSec: w.DemandReqPerSec,
-			Active:          w.Active, Available: w.Available,
-		})
-	}
-	if rec != nil {
-		out.Observation = buildObservation(rec, nil, rep.Aggregate)
-		rec.Recycle()
-	}
-	return out, nil
+	return rep.Aggregate, out, nil
 }

@@ -326,42 +326,100 @@ func TestParseClasses(t *testing.T) {
 }
 
 func TestAutoscalePublicAPI(t *testing.T) {
-	rep, err := Autoscale(AutoscaleConfig{
+	sess, err := Open(Config{Platform: "tdx", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ServeConfig{
 		Scenario:   "bursty",
 		RatePerSec: 2,
 		Requests:   48,
-		Classes:    []AutoscaleClass{{Platform: "tdx", Min: 1, Max: 2}},
 		MaxBatch:   8,
-		Seed:       1,
-	})
+		Autoscale:  &AutoscaleOptions{Classes: []AutoscaleClass{{Platform: "tdx", Min: 1, Max: 2}}},
+	}
+	rep, err := sess.Serve(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Completed + rep.Dropped + rep.Unfinished; got != 48 {
 		t.Fatalf("conservation: %d of 48 accounted", got)
 	}
-	if len(rep.Classes) != 1 || rep.Classes[0].Name != "tdx" {
-		t.Fatalf("classes = %+v", rep.Classes)
+	el := rep.Autoscale
+	if el == nil {
+		t.Fatal("elastic run carries no Autoscale report")
 	}
-	if rep.Classes[0].ColdStartSec <= 0 {
+	if el.Dispatch != "cost-aware" {
+		t.Errorf("default dispatch %q, want cost-aware", el.Dispatch)
+	}
+	if len(el.Classes) != 1 || el.Classes[0].Name != "tdx" {
+		t.Fatalf("classes = %+v", el.Classes)
+	}
+	if el.Classes[0].ColdStartSec <= 0 {
 		t.Error("TDX class has no cold start")
 	}
-	if rep.Classes[0].CapacityReqPerSec <= 0 {
+	if el.Classes[0].CapacityReqPerSec <= 0 {
 		t.Error("class capacity not probed")
 	}
-	if rep.ReplicaHours <= 0 || rep.CostUSD <= 0 {
-		t.Errorf("billing empty: %+v", rep)
+	if el.ReplicaHours <= 0 || el.CostUSD <= 0 {
+		t.Errorf("billing empty: %+v", el)
 	}
-	if len(rep.Windows) == 0 {
+	if len(el.Windows) == 0 {
 		t.Error("no control windows")
 	}
-	if _, err := Autoscale(AutoscaleConfig{}); err == nil {
-		t.Error("missing classes accepted")
+	if rep.TotalTokens <= 0 {
+		t.Error("no output tokens counted")
 	}
-	if _, err := Autoscale(AutoscaleConfig{
-		Classes: []AutoscaleClass{{Platform: "nope", Min: 1, Max: 1}},
-	}); err == nil {
-		t.Error("unknown platform accepted")
+	for _, bad := range []ServeConfig{
+		{RatePerSec: 2, Autoscale: &AutoscaleOptions{}},
+		{RatePerSec: 2, Autoscale: &AutoscaleOptions{Classes: []AutoscaleClass{{Platform: "nope", Min: 1, Max: 1}}}},
+		{RatePerSec: 2, Autoscale: &AutoscaleOptions{Classes: cfg.Autoscale.Classes, Dispatch: "random"}},
+		{RatePerSec: 2, Topology: "tdx:2", Autoscale: cfg.Autoscale},
+		{RatePerSec: 2, Replicas: 2, Autoscale: cfg.Autoscale},
+	} {
+		if _, err := sess.Serve(bad); err == nil {
+			t.Errorf("config %+v accepted", bad)
+		}
+	}
+}
+
+// TestAutoscaleComposes: the combinations the CLI used to reject next to
+// -autoscale — scripted crashes, shedding with retries, sketch quantiles
+// and attribution — run together through Session.Serve, account for every
+// request and keep the attribution's conservation audit clean.
+func TestAutoscaleComposes(t *testing.T) {
+	sess, err := Open(Config{Platform: "tdx", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Serve(ServeConfig{
+		Scenario:     "bursty",
+		RatePerSec:   4,
+		Requests:     96,
+		MaxBatch:     8,
+		QuantileMode: "sketch",
+		Attribution:  true,
+		Observe:      true,
+		Faults:       FaultConfig{Plan: "0@20", Admission: "shed", RetryMax: 2},
+		Autoscale:    &AutoscaleOptions{Classes: []AutoscaleClass{{Platform: "tdx", Min: 1, Max: 3}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Completed + rep.Dropped + rep.Unfinished; got != 96 {
+		t.Fatalf("conservation: %d of 96 accounted", got)
+	}
+	if rep.Crashes != 1 || rep.Sheds == 0 || rep.Retries == 0 || !rep.Sketched {
+		t.Errorf("crashes %d, sheds %d, retries %d, sketched %v: a feature did not engage",
+			rep.Crashes, rep.Sheds, rep.Retries, rep.Sketched)
+	}
+	if rep.Attrib == nil || len(rep.Attrib.Violations) != 0 {
+		t.Fatalf("attribution missing or violated: %+v", rep.Attrib)
+	}
+	if int(rep.Attrib.Completed) != rep.Completed {
+		t.Errorf("attribution finalized %d requests, report completed %d", rep.Attrib.Completed, rep.Completed)
+	}
+	if rep.Observation == nil || rep.Observation.Events == 0 || rep.Observation.PhaseCSV == nil {
+		t.Error("elastic run produced no observation artifacts")
 	}
 }
 

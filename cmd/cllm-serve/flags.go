@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"cllm"
+	"cllm/internal/autoscale"
 	"cllm/internal/serve"
 )
 
@@ -64,8 +65,9 @@ type options struct {
 	seed         int64
 
 	// Derived by the checks (valid after checkFlags returns nil).
-	mults      []float64
-	preemptPol serve.PreemptPolicy
+	mults       []float64
+	preemptPol  serve.PreemptPolicy
+	autoClasses []cllm.AutoscaleClass
 }
 
 // rejection is one argv the flag binder must refuse, with a substring the
@@ -219,7 +221,7 @@ func flagTable(o *options) []flagSpec {
 					return fmt.Errorf("-topology and -replicas are mutually exclusive (the topology fixes the fleet size)")
 				}
 				if o.autoscale {
-					return fmt.Errorf("-topology is not supported with -autoscale yet (run a fixed role-aware fleet)")
+					return fmt.Errorf("-topology is not supported with -autoscale (the scaler sizes unified replica classes; role-aware groups would need a scaler per stage)")
 				}
 				return nil
 			},
@@ -232,19 +234,36 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:  "autoscale",
-			usage: "simulate an elastic heterogeneous fleet (uses -classes; ignores -platform, -replicas, -lb-policy, -in, -out, -prefix-groups and -prefix-frac — the scenario's shape mixes own the request shapes)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.autoscale, n, false, u) },
+			name: "autoscale",
+			usage: "simulate one elastic heterogeneous fleet at -rate (uses -classes; ignores -platform, -replicas, -lb-policy and -rate-mults, " +
+				"and -in, -out, -prefix-groups and -prefix-frac, since the scenario's shape mixes own the request shapes; " +
+				"-fail-plan indices name replica slots, numbered in class order, max slots per class)",
+			add: func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.autoscale, n, false, u) },
 			check: func() error {
-				if o.autoscale && (o.failMTBF > 0 || o.failPlan != "" || o.retryMax > 0) {
-					return fmt.Errorf("fault injection and retries are not supported with -autoscale yet (run a fixed fleet)")
+				if !o.autoscale {
+					return nil
+				}
+				classes, err := cllm.ParseClasses(o.classes)
+				if err != nil {
+					return fmt.Errorf("-classes: %w", err)
+				}
+				o.autoClasses = classes
+				if _, err := autoscale.ParseDispatch(o.dispatch); err != nil {
+					return fmt.Errorf("-dispatch: %w", err)
+				}
+				if o.targetUtil < 0 || o.targetUtil > 1 {
+					return fmt.Errorf("-target-util %g outside (0, 1]", o.targetUtil)
+				}
+				if o.demandAlpha < 0 || o.demandAlpha > 1 {
+					return fmt.Errorf("-demand-alpha %g outside [0, 1] (0 or 1 = raw estimator)", o.demandAlpha)
 				}
 				return nil
 			},
 			rejects: []rejection{
-				{args: []string{"-autoscale", "-fail-mtbf", "60"}, want: "-autoscale"},
-				{args: []string{"-autoscale", "-fail-plan", "30"}, want: "-autoscale"},
-				{args: []string{"-autoscale", "-retry-max", "2"}, want: "-autoscale"},
+				{args: []string{"-autoscale", "-classes", "tdx:1:3"}, want: "-classes"},
+				{args: []string{"-autoscale", "-dispatch", "random"}, want: "-dispatch"},
+				{args: []string{"-autoscale", "-target-util", "1.5"}, want: "-target-util"},
+				{args: []string{"-autoscale", "-demand-alpha", "2"}, want: "-demand-alpha"},
 			},
 		},
 		{
@@ -388,15 +407,8 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name:  "attrib",
-			usage: "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax; attributes the first platform's base-rate point",
+			usage: "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax; attributes the first platform's base-rate point, or the elastic run with -autoscale",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.attrib, n, false, u) },
-			check: func() error {
-				if o.attrib && o.autoscale {
-					return fmt.Errorf("-attrib is not supported with -autoscale (attribute a fixed fleet run instead)")
-				}
-				return nil
-			},
-			rejects: []rejection{{args: []string{"-attrib", "-autoscale"}, want: "-autoscale"}},
 		},
 		{
 			name:  "attrib-out",
@@ -488,15 +500,9 @@ func flagTable(o *options) []flagSpec {
 				if _, err := serve.ParseAdmissionPolicy(o.admission); err != nil {
 					return fmt.Errorf("-admission: %w", err)
 				}
-				if o.autoscale && o.admission != "fifo" && o.admission != "" {
-					return fmt.Errorf("-admission is not supported with -autoscale yet (run a fixed fleet)")
-				}
 				return nil
 			},
-			rejects: []rejection{
-				{args: []string{"-admission", "lottery"}, want: "-admission"},
-				{args: []string{"-admission", "shed", "-autoscale"}, want: "-autoscale"},
-			},
+			rejects: []rejection{{args: []string{"-admission", "lottery"}, want: "-admission"}},
 		},
 		{
 			name:  "retry-max",

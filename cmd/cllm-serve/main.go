@@ -46,36 +46,21 @@ func main() {
 	registerFlags(flag.CommandLine, specs)
 	flag.Parse()
 
-	if err := checkFlags(specs); err != nil {
-		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(checkFlags(specs))
 	if o.prefixShare && o.prefixGroups <= 0 {
 		o.prefixGroups = 4 // sharing without declared groups would never hit
 	}
 
 	if o.autoscale {
 		// The sweep default of 48 arrivals spans seconds; an elastic run
-		// needs enough stream for the control loop to act. Unless the user
-		// set -requests, defer to the API default.
-		nReq := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "requests" {
-				nReq = o.requests
-			}
-		})
-		runAutoscale(autoscaleArgs{
-			modelName: o.modelName, dt: o.dt, system: o.system,
-			scenario: o.scenario, rate: o.rate, requests: nReq,
-			classes: o.classes, dispatch: o.dispatch, noColdStart: o.noColdStart,
-			targetUtil: o.targetUtil, interval: o.interval, batch: o.batch,
-			chunkSize: o.chunkSize, prefixShare: o.prefixShare,
-			costBucket: o.costBucket, preempt: o.preempt,
-			sloTTFT: o.sloTTFT, sloTPOT: o.sloTPOT, sockets: o.sockets,
-			seed: o.seed, format: o.format,
-			demandAlpha: o.demandAlpha, obsWindow: o.obsWindow,
-			traceOut: o.traceOut, metricsOut: o.metricsOut, timeseriesOut: o.timesOut,
-		})
+		// needs enough stream for the control loop to act, so unless the
+		// user set -requests it simulates 256 arrivals.
+		requestsSet := false
+		flag.Visit(func(f *flag.Flag) { requestsSet = requestsSet || f.Name == "requests" })
+		if !requestsSet {
+			o.requests = 256
+		}
+		runAutoscale(&o)
 		return
 	}
 
@@ -95,10 +80,7 @@ func main() {
 	if o.topology != "" {
 		fleetDesc = "topology " + o.topology
 		groups, err := cllm.ParseTopology(o.topology)
-		if err != nil { // unreachable: checkFlags parsed it already
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err) // unreachable: checkFlags parsed it already
 		platList = []string{groups[0].Platform}
 	}
 	title := fmt.Sprintf("%s (%s), %d requests per point, %s, chunk %d, share %v, %s, SLO TTFT %.2gs TPOT %.2gs",
@@ -121,7 +103,7 @@ func main() {
 	}
 	// The export artifacts come from one observed run: the first platform's
 	// base-rate (×1) sweep point. Attribution follows the same rule.
-	wantObserve := o.traceOut != "" || o.metricsOut != "" || o.timesOut != ""
+	wantObserve := o.observe()
 	wantAttrib := o.attrib
 	var attribRep *obs.AttribReport
 	table := &harness.Result{
@@ -135,45 +117,16 @@ func main() {
 			continue
 		}
 		sess, err := cllm.Open(cllm.Config{Platform: plat, System: o.system, Seed: o.seed})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		for _, m := range o.mults {
-			observe := wantObserve && m == 1
-			attribute := wantAttrib && m == 1
-			rep, err := sess.Serve(cllm.ServeConfig{
-				Observe: observe, ObserveWindowSec: o.obsWindow,
-				Attribution: attribute,
-				Model:       o.modelName, DType: o.dt,
-				InputLen: o.inLen, OutputLen: o.outLen,
-				Scenario:   o.scenario,
-				RatePerSec: o.rate * m, Requests: o.requests,
-				MaxBatch: o.batch, Sockets: o.sockets,
-				ChunkTokens:   o.chunkSize,
-				PrefixSharing: o.prefixShare,
-				PrefixGroups:  o.prefixGroups,
-				PrefixFrac:    o.prefixFrac,
-				Replicas:      o.replicas,
-				LBPolicy:      o.lbPolicy,
-				Topology:      o.topology,
-				CostBucket:    o.costBucket,
-				PreemptPolicy: o.preemptPol.String(),
-				QuantileMode:  o.quantileMode,
-				SketchAlpha:   o.sketchAlpha,
-				Faults: cllm.FaultConfig{
-					MTBFSec:         o.failMTBF,
-					Plan:            o.failPlan,
-					Policy:          o.failPolicy,
-					Admission:       o.admission,
-					RetryMax:        o.retryMax,
-					RetryBackoffSec: o.retryBackoff,
-				},
-				TTFTSLOSec: o.sloTTFT, TPOTSLOSec: o.sloTPOT,
-			})
+			cfg := o.serveConfig()
+			cfg.RatePerSec = o.rate * m
+			cfg.Replicas, cfg.LBPolicy, cfg.Topology = o.replicas, o.lbPolicy, o.topology
+			cfg.Observe = wantObserve && m == 1
+			cfg.Attribution = wantAttrib && m == 1
+			rep, err := sess.Serve(cfg)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cllm-serve: %s at rate %.2f: %v\n", plat, o.rate*m, err)
-				os.Exit(1)
+				exitOn(fmt.Errorf("%s at rate %.2f: %w", plat, o.rate*m, err))
 			}
 			nRepl, cost := "-", "-"
 			if rep.SLOFeasible {
@@ -224,11 +177,11 @@ func main() {
 					fmt.Sprintf("%.4g", rep.HandoffBytes))
 			}
 			table.Rows = append(table.Rows, row)
-			if observe {
+			if cfg.Observe {
 				writeArtifacts(rep.Observation, o.traceOut, o.metricsOut, o.timesOut)
 				wantObserve = false
 			}
-			if attribute {
+			if cfg.Attribution {
 				attribRep = rep.Attrib
 				writeAttrib(attribRep, o.attribOut, o.attribCSV)
 				wantAttrib = false
@@ -237,11 +190,41 @@ func main() {
 	}
 
 	emit(table, o.format)
-	if o.compare != "" {
-		if !compareBaseline(attribRep, o.compare, o.compareSlack, o.format) {
-			os.Exit(1)
-		}
+	compareBaseline(&o, attribRep)
+}
+
+// serveConfig is the serving configuration both modes share: everything
+// but the rate, the fleet shape and the observation switches.
+func (o *options) serveConfig() cllm.ServeConfig {
+	return cllm.ServeConfig{
+		ObserveWindowSec: o.obsWindow,
+		Model:            o.modelName, DType: o.dt,
+		InputLen: o.inLen, OutputLen: o.outLen,
+		Scenario: o.scenario, Requests: o.requests,
+		MaxBatch: o.batch, Sockets: o.sockets,
+		ChunkTokens:   o.chunkSize,
+		PrefixSharing: o.prefixShare,
+		PrefixGroups:  o.prefixGroups,
+		PrefixFrac:    o.prefixFrac,
+		CostBucket:    o.costBucket,
+		PreemptPolicy: o.preemptPol.String(),
+		QuantileMode:  o.quantileMode,
+		SketchAlpha:   o.sketchAlpha,
+		Faults: cllm.FaultConfig{
+			MTBFSec:         o.failMTBF,
+			Plan:            o.failPlan,
+			Policy:          o.failPolicy,
+			Admission:       o.admission,
+			RetryMax:        o.retryMax,
+			RetryBackoffSec: o.retryBackoff,
+		},
+		TTFTSLOSec: o.sloTTFT, TPOTSLOSec: o.sloTPOT,
 	}
+}
+
+// observe reports whether any observation artifact was requested.
+func (o *options) observe() bool {
+	return o.traceOut != "" || o.metricsOut != "" || o.timesOut != ""
 }
 
 // writeAttrib writes the attribution report JSON and/or phase CSV.
@@ -254,36 +237,31 @@ func writeAttrib(rep *obs.AttribReport, jsonPath, csvPath string) {
 		if err == nil {
 			err = os.WriteFile(jsonPath, append(raw, '\n'), 0o644)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 	}
 	if csvPath != "" {
-		if err := os.WriteFile(csvPath, rep.PhaseCSV(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(os.WriteFile(csvPath, rep.PhaseCSV(), 0o644))
 	}
 }
 
-// compareBaseline diffs the attributed run against a baseline attribution
-// JSON and prints the movements that exceed the combined sketch error
-// bounds plus slack. Returns false when any movement is a regression.
-func compareBaseline(cur *obs.AttribReport, baselinePath string, slack float64, format string) bool {
+// compareBaseline diffs the attributed run against the -compare baseline
+// attribution JSON (a no-op without -compare) and prints the movements
+// that exceed the combined sketch error bounds plus slack. It exits 1
+// when any movement is a regression.
+func compareBaseline(o *options, cur *obs.AttribReport) {
+	baselinePath, slack := o.compare, o.compareSlack
+	if baselinePath == "" {
+		return
+	}
 	if cur == nil {
 		fmt.Fprintln(os.Stderr, "cllm-serve: -compare got no attributed run")
 		os.Exit(1)
 	}
 	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	var base obs.AttribReport
 	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "cllm-serve: baseline %s: %v\n", baselinePath, err)
-		os.Exit(1)
+		exitOn(fmt.Errorf("baseline %s: %w", baselinePath, err))
 	}
 	deltas := obs.Diff(&base, cur, slack)
 	table := &harness.Result{
@@ -315,8 +293,10 @@ func compareBaseline(cur *obs.AttribReport, baselinePath string, slack float64, 
 	if len(deltas) == 0 {
 		table.Notes = append(table.Notes, "no movement beyond the noise floor")
 	}
-	emit(table, format)
-	return !regressed
+	emit(table, o.format)
+	if regressed {
+		os.Exit(1)
+	}
 }
 
 // writeArtifacts writes the observed run's rendered artifacts to the
@@ -336,10 +316,15 @@ func writeArtifacts(o *cllm.ServeObservation, traceOut, metricsOut, timeseriesOu
 		if art.path == "" {
 			continue
 		}
-		if err := os.WriteFile(art.path, art.data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(os.WriteFile(art.path, art.data, 0o644))
+	}
+}
+
+// exitOn reports a fatal error and exits 1; a nil error is a no-op.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -350,80 +335,53 @@ func emit(table *harness.Result, format string) {
 		fmt.Print(table.CSV())
 	case "json":
 		out, err := table.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		fmt.Print(out)
 	default:
 		fmt.Print(table.Render())
 	}
 }
 
-type autoscaleArgs struct {
-	modelName, dt, system               string
-	scenario, classes, dispatch         string
-	rate, targetUtil, interval          float64
-	sloTTFT, sloTPOT                    float64
-	requests, batch, sockets            int
-	chunkSize, costBucket               int
-	preempt                             string
-	prefixShare, noColdStart            bool
-	seed                                int64
-	format                              string
-	demandAlpha, obsWindow              float64
-	traceOut, metricsOut, timeseriesOut string
-}
-
 // runAutoscale simulates one elastic heterogeneous fleet and prints its
 // per-class usage plus the fleet summary row.
-func runAutoscale(a autoscaleArgs) {
-	classes, err := cllm.ParseClasses(a.classes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-		os.Exit(1)
+func runAutoscale(o *options) {
+	// The classes were parsed by checkFlags; the session that serves them
+	// is the first class's platform (each class opens as its sub-session).
+	sess, err := cllm.Open(cllm.Config{Platform: o.autoClasses[0].Platform, System: o.system, Seed: o.seed})
+	exitOn(err)
+	cfg := o.serveConfig()
+	if cfg.Scenario == "" {
+		cfg.Scenario = "bursty"
 	}
-	scenario := a.scenario
-	if scenario == "" {
-		scenario = "bursty"
+	cfg.RatePerSec = o.rate
+	cfg.Observe, cfg.Attribution = o.observe(), o.attrib
+	cfg.Autoscale = &cllm.AutoscaleOptions{
+		Classes: o.autoClasses, Dispatch: o.dispatch,
+		IntervalSec: o.interval, TargetUtil: o.targetUtil,
+		DemandAlpha: o.demandAlpha, NoColdStart: o.noColdStart,
 	}
-	rep, err := cllm.Autoscale(cllm.AutoscaleConfig{
-		Model: a.modelName, DType: a.dt, System: a.system,
-		Scenario: scenario, RatePerSec: a.rate, Requests: a.requests,
-		Classes: classes, Dispatch: a.dispatch,
-		IntervalSec: a.interval, TargetUtil: a.targetUtil,
-		DemandAlpha: a.demandAlpha,
-		NoColdStart: a.noColdStart, MaxBatch: a.batch,
-		ChunkTokens: a.chunkSize, PrefixSharing: a.prefixShare,
-		PreemptPolicy: a.preempt,
-		Sockets:       a.sockets, CostBucket: a.costBucket,
-		TTFTSLOSec: a.sloTTFT, TPOTSLOSec: a.sloTPOT,
-		Seed:             a.seed,
-		Observe:          a.traceOut != "" || a.metricsOut != "" || a.timeseriesOut != "",
-		ObserveWindowSec: a.obsWindow,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-		os.Exit(1)
-	}
-	writeArtifacts(rep.Observation, a.traceOut, a.metricsOut, a.timeseriesOut)
+	rep, err := sess.Serve(cfg)
+	exitOn(err)
+	writeArtifacts(rep.Observation, o.traceOut, o.metricsOut, o.timesOut)
+	writeAttrib(rep.Attrib, o.attribOut, o.attribCSV)
+	el := rep.Autoscale
 
 	offered := rep.Completed + rep.Dropped + rep.Unfinished
 	table := &harness.Result{
 		ID: "autoscale",
 		Title: fmt.Sprintf("%s (%s), scenario %s at %.2g req/s mean, %d requests, %s dispatch, target util %.2g, SLO TTFT %.2gs TPOT %.2gs",
-			a.modelName, a.dt, scenario, a.rate, offered, rep.Dispatch, a.targetUtil, a.sloTTFT, a.sloTPOT),
+			o.modelName, o.dt, cfg.Scenario, o.rate, offered, el.Dispatch, o.targetUtil, o.sloTTFT, o.sloTPOT),
 		Header: []string{"class", "$/h", "coldstart(s)", "cap(req/s)", "dispatched", "peak", "coldstarts", "replica-hrs", "cost($)", "SLO%", "goodput", "$/Mtok"},
 	}
 	// The machine formats carry the fleet-level request partition, latency
 	// and preemption/swap counters as columns (the text table keeps them in
 	// the note, preserving its historical schema).
-	machine := a.format != "table"
+	machine := o.format != "table"
 	if machine {
 		table.Header = append(table.Header, "completed", "dropped", "unfinished",
 			"preempt", "swap-out", "swap-in", "tokens", "TTFT p50(s)", "TTFT p99(s)")
 	}
-	for _, c := range rep.Classes {
+	for _, c := range el.Classes {
 		row := []string{
 			c.Name,
 			fmt.Sprintf("%.2f", c.HourlyUSD),
@@ -443,14 +401,14 @@ func runAutoscale(a autoscaleArgs) {
 	}
 	fleetRow := []string{
 		"fleet", "-", "-", "-",
-		fmt.Sprintf("%d", rep.Completed+rep.Dropped+rep.Unfinished),
+		fmt.Sprintf("%d", offered),
 		"-",
-		fmt.Sprintf("%d", rep.ColdStarts),
-		fmt.Sprintf("%.4f", rep.ReplicaHours),
-		fmt.Sprintf("%.4f", rep.CostUSD),
+		fmt.Sprintf("%d", el.ColdStarts),
+		fmt.Sprintf("%.4f", el.ReplicaHours),
+		fmt.Sprintf("%.4f", el.CostUSD),
 		fmt.Sprintf("%.0f%%", rep.SLOAttainment*100),
 		fmt.Sprintf("%.1f", rep.GoodputTokensPerSec),
-		fmt.Sprintf("%.2f", rep.USDPerMTok),
+		fmt.Sprintf("%.2f", el.USDPerMTok),
 	}
 	if machine {
 		fleetRow = append(fleetRow,
@@ -467,6 +425,7 @@ func runAutoscale(a autoscaleArgs) {
 	table.Rows = append(table.Rows, fleetRow)
 	table.Notes = append(table.Notes,
 		fmt.Sprintf("completed %d, dropped %d, unfinished %d; TTFT p50 %.3fs p99 %.3fs; %d control windows",
-			rep.Completed, rep.Dropped, rep.Unfinished, rep.TTFTp50, rep.TTFTp99, len(rep.Windows)))
-	emit(table, a.format)
+			rep.Completed, rep.Dropped, rep.Unfinished, rep.TTFTp50, rep.TTFTp99, len(el.Windows)))
+	emit(table, o.format)
+	compareBaseline(o, rep.Attrib)
 }

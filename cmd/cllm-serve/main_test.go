@@ -54,6 +54,12 @@ func TestFlagAccepts(t *testing.T) {
 		{"-admission", "deadline"},
 		{"-retry-max", "2"},
 		{"-autoscale", "-admission", "fifo"},
+		{"-autoscale", "-fail-mtbf", "60"},
+		{"-autoscale", "-fail-plan", "30"},
+		{"-autoscale", "-retry-max", "2"},
+		{"-admission", "shed", "-autoscale"},
+		{"-attrib", "-autoscale"},
+		{"-autoscale", "-classes", "tdx:2,cgpu:1:0", "-dispatch", "uniform", "-target-util", "0.5", "-demand-alpha", "0.3"},
 		{"-topology", "cgpu:2=prefill,tdx:4=decode"},
 		{"-topology", "tdx:4"},
 		{"-topology", "tdx=decode,cgpu=prefill", "-lb-policy", "least-loaded"},

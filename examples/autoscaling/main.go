@@ -15,35 +15,44 @@ import (
 	"cllm"
 )
 
-func run(label string, cfg cllm.AutoscaleConfig) *cllm.AutoscaleReport {
-	rep, err := cllm.Autoscale(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-28s SLO %5.1f%%  replica-hrs %.4f  cost $%.4f  $/Mtok %6.2f  coldstarts %d  TTFT p99 %.2fs\n",
-		label, rep.SLOAttainment*100, rep.ReplicaHours, rep.CostUSD, rep.USDPerMTok,
-		rep.ColdStarts, rep.TTFTp99)
-	return rep
+// elasticRun is one elastic run's headline numbers.
+type elasticRun struct {
+	slo, replicaHours float64
 }
 
-func main() {
+func run(sess *cllm.Session, label string, opts cllm.AutoscaleOptions) elasticRun {
 	// Bursty MMPP chat traffic: lulls a single TDX replica holds at ease,
 	// bursts of ~20 s that need most of the 4-replica ceiling.
-	base := cllm.AutoscaleConfig{
+	rep, err := sess.Serve(cllm.ServeConfig{
 		Scenario:   "bursty",
 		RatePerSec: 0.5,
 		Requests:   160,
-		Classes:    []cllm.AutoscaleClass{{Platform: "tdx", Min: 1, Max: 4}},
 		MaxBatch:   8,
 		TTFTSLOSec: 6,
-		Seed:       7,
+		Autoscale:  &opts,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	el := rep.Autoscale
+	fmt.Printf("%-28s SLO %5.1f%%  replica-hrs %.4f  cost $%.4f  $/Mtok %6.2f  coldstarts %d  TTFT p99 %.2fs\n",
+		label, rep.SLOAttainment*100, el.ReplicaHours, el.CostUSD, el.USDPerMTok,
+		el.ColdStarts, rep.TTFTp99)
+	return elasticRun{slo: rep.SLOAttainment, replicaHours: el.ReplicaHours}
+}
+
+func main() {
+	sess, err := cllm.Open(cllm.Config{Platform: "tdx", Seed: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
+	base := cllm.AutoscaleOptions{Classes: []cllm.AutoscaleClass{{Platform: "tdx", Min: 1, Max: 4}}}
 
 	fmt.Println("naive reactive scaling (target util 0.7):")
 	naiveWarm := base
 	naiveWarm.NoColdStart = true
-	warm := run("  free elasticity", naiveWarm)
-	cold := run("  TEE cold start", base)
+	warm := run(sess, "  free elasticity", naiveWarm)
+	cold := run(sess, "  TEE cold start", base)
 
 	// The cold-start-aware policy buys headroom: scale earlier (lower
 	// target utilization) and keep a higher standing floor, so bursts land
@@ -53,12 +62,12 @@ func main() {
 	aware := base
 	aware.TargetUtil = 0.4
 	aware.Classes = []cllm.AutoscaleClass{{Platform: "tdx", Min: 2, Max: 4}}
-	awareRep := run("  TEE cold start", aware)
+	awareRun := run(sess, "  TEE cold start", aware)
 
 	fmt.Printf("\nelasticity tax: free elasticity holds %.1f%% of requests in SLO at %.4f replica-hrs;\n",
-		warm.SLOAttainment*100, warm.ReplicaHours)
+		warm.slo*100, warm.replicaHours)
 	fmt.Printf("the same policy with real cold starts holds %.1f%%, and buying the SLO back\n",
-		cold.SLOAttainment*100)
+		cold.slo*100)
 	fmt.Printf("via headroom costs %.4f replica-hrs (%.0f%% more hardware-hours than free elasticity).\n",
-		awareRep.ReplicaHours, (awareRep.ReplicaHours/warm.ReplicaHours-1)*100)
+		awareRun.replicaHours, (awareRun.replicaHours/warm.replicaHours-1)*100)
 }

@@ -10,7 +10,10 @@
 //
 // The control loop runs on the same discrete-event engine as the serving
 // schedulers (one shared simulated clock), so queueing during a cold start
-// is in the numbers, not assumed away.
+// is in the numbers, not assumed away. Every arrival is dispatched to a
+// replica the instant it arrives: a booting replica is held in the
+// scheduler's down state (the one a crash recovery uses), so requests
+// routed to it wait in its own queue.
 package autoscale
 
 import (
@@ -29,6 +32,8 @@ type Class struct {
 	// Name labels the class in reports (e.g. "tdx", "cgpu").
 	Name string
 	// Backend is the hardware/TEE combination replicas of this class run.
+	// With a Coster set, every replica of the class (and its capacity
+	// probe) costs steps from that one shared table.
 	Backend serve.Backend
 	// HourlyUSD is the rental price of one replica.
 	HourlyUSD float64
@@ -43,8 +48,8 @@ type Class struct {
 	Min, Max int
 	// CapacityReqPerSec is one replica's saturated completion rate for the
 	// experiment's request shape, used by cost-aware dispatch weighting
-	// and the target-tracking scaler. Zero means "probe it": Run measures
-	// it with ProbeCapacity before simulating.
+	// and the target-tracking scaler (required; measure it with
+	// ProbeCapacity).
 	CapacityReqPerSec float64
 }
 
@@ -74,12 +79,13 @@ func (d Dispatch) String() string {
 	return fmt.Sprintf("Dispatch(%d)", int(d))
 }
 
-// ParseDispatch resolves a CLI dispatch name.
+// ParseDispatch resolves a CLI dispatch name; empty selects CostAware,
+// the public default.
 func ParseDispatch(s string) (Dispatch, error) {
 	switch s {
-	case "uniform", "":
+	case "uniform":
 		return Uniform, nil
-	case "cost-aware", "cost", "ca":
+	case "cost-aware", "cost", "ca", "":
 		return CostAware, nil
 	}
 	return 0, fmt.Errorf("autoscale: unknown dispatch %q (uniform|cost-aware)", s)
@@ -252,23 +258,6 @@ func ProbeCapacity(be serve.Backend, scfg serve.Config) (float64, error) {
 	return float64(rep.Completed) / rep.MakespanSec, nil
 }
 
-// probeCapacities fills missing per-class capacities, probing the classes
-// in order on the caller's goroutine; each probe is an independent
-// simulation on its own engine.
-func probeCapacities(cls []Class, cfg Config) error {
-	for i := range cls {
-		if cls[i].CapacityReqPerSec > 0 {
-			continue
-		}
-		cap, err := ProbeCapacity(cls[i].Backend, cfg.Serve)
-		if err != nil {
-			return fmt.Errorf("autoscale: class %s: %w", cls[i].Name, err)
-		}
-		cls[i].CapacityReqPerSec = cap
-	}
-	return nil
-}
-
 // slot is one provisionable replica instance. Its scheduler (rep) is
 // built lazily on first activation — a class's Max bounds the fleet, it
 // should not cost Max schedulers' state when the load never needs them.
@@ -279,9 +268,6 @@ type slot struct {
 	rep   *serve.Replica
 	// active means billed (operator pays from activation to drain-done).
 	active bool
-	// availableAt is when the slot can first serve (activation + cold
-	// start); meaningful while active.
-	availableAt float64
 	// draining means no new dispatches; deactivates when it empties.
 	draining bool
 	// billStart is the activation instant of the current billing span.
@@ -291,14 +277,26 @@ type slot struct {
 	dispatched  int
 }
 
-func (s *slot) servable(now float64) bool {
-	return s.active && !s.draining && s.availableAt <= now+1e-12
-}
+// target reports whether the slot takes new dispatches: billed and not
+// draining. up additionally requires it to have finished booting and not
+// be recovering from a crash.
+func (s *slot) target() bool { return s.active && !s.draining }
+func (s *slot) up() bool     { return s.target() && !s.rep.Down() }
 
 // Run simulates the offered load against an elastic fleet of the given
 // classes. Class Min replicas start warm; the control loop activates (with
 // cold start) and drains replicas every IntervalSec to track demand.
 func Run(classes []Class, cfg Config) (*Report, error) {
+	f, err := newFleet(classes, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return f.run()
+}
+
+// newFleet validates the classes and builds the standing fleet on a fresh
+// engine.
+func newFleet(classes []Class, cfg Config) (*fleet, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("autoscale: no replica classes")
 	}
@@ -324,21 +322,10 @@ func Run(classes []Class, cfg Config) (*Report, error) {
 		if c.ColdStartSec < 0 {
 			return nil, fmt.Errorf("autoscale: class %s cold start %g is negative", c.Name, c.ColdStartSec)
 		}
-		if c.Backend.Coster == nil {
-			// All replicas of a class run the same backend: share one
-			// memoized costing table across its slots (and its capacity
-			// probe below), so a step shape costed anywhere in the fleet is
-			// a table hit everywhere else.
-			coster, err := serve.NewStepCoster(c.Backend, cfg.Serve)
-			if err != nil {
-				return nil, fmt.Errorf("autoscale: class %s: %w", c.Name, err)
-			}
-			c.Backend.Coster = coster
+		if !(c.CapacityReqPerSec > 0) {
+			return nil, fmt.Errorf("autoscale: class %s needs a positive capacity (see ProbeCapacity), got %g", c.Name, c.CapacityReqPerSec)
 		}
 		totalMin += c.Min
-	}
-	if err := probeCapacities(cls, cfg); err != nil {
-		return nil, err
 	}
 	if totalMin == 0 {
 		// An empty standing fleet would queue the first arrivals behind a
@@ -385,8 +372,13 @@ func Run(classes []Class, cfg Config) (*Report, error) {
 			}
 		}
 	}
-	eng.Schedule(sim.Time(cfg.IntervalSec), f.tick)
-	if err := serve.Drive(eng, scfg, f.dispatch); err != nil {
+	return f, nil
+}
+
+// run drives the offered load and the control loop to completion.
+func (f *fleet) run() (*Report, error) {
+	f.eng.Schedule(sim.Time(f.cfg.IntervalSec), f.tick)
+	if err := serve.Drive(f.eng, f.scfg, f.dispatch); err != nil {
 		return nil, err
 	}
 	return f.report()
@@ -400,7 +392,6 @@ type fleet struct {
 	slots   []*slot
 	eng     *sim.Engine
 
-	pending        []serve.Request // arrivals waiting for a servable slot
 	windowArrivals int
 	totalArrivals  int
 	dispatchedN    int
@@ -440,36 +431,26 @@ func (f *fleet) ensureReplica(s *slot) bool {
 	return true
 }
 
-// dispatch routes one arrival (or a flushed pending request) to a replica.
+// dispatch routes one arrival to a replica the instant it arrives.
 func (f *fleet) dispatch(req serve.Request) {
-	now := float64(f.eng.Now())
 	f.windowArrivals++
-	best := f.pick(now)
-	if best == nil {
-		f.pending = append(f.pending, req)
-		return
-	}
-	f.submit(best, req)
-}
-
-// submit hands a request to a chosen slot.
-func (f *fleet) submit(s *slot, req serve.Request) {
+	s := f.pick()
 	s.rep.Submit(req)
 	s.dispatched++
 	f.dispatchedN++
 }
 
-// pick selects the dispatch target among servable slots, or nil.
-func (f *fleet) pick(now float64) *slot {
+// pick selects the dispatch target among active, non-draining slots. Up
+// slots are ranked by the dispatch policy. When every target is booting or
+// crashed, the request queues on the least-loaded one (lowest index on
+// ties) and waits out its boot or recovery, as a fixed fleet's balancer
+// does. Targets always exist: the scaler never drains below each class's
+// Min, and the standing fleet holds at least one replica.
+func (f *fleet) pick() *slot {
 	var best *slot
 	var bestKey [2]float64
 	for _, s := range f.slots {
-		if !s.servable(now) {
-			continue
-		}
-		if s.rep.Down() {
-			// Crashed mid-recovery (fault injection): still billed, not a
-			// dispatch target until its TEE cold start completes.
+		if !s.up() {
 			continue
 		}
 		var key [2]float64
@@ -490,37 +471,36 @@ func (f *fleet) pick(now float64) *slot {
 			best, bestKey = s, key
 		}
 	}
+	if best != nil {
+		return best
+	}
+	for _, s := range f.slots {
+		if s.target() && (best == nil || s.rep.Outstanding() < best.rep.Outstanding()) {
+			best = s
+		}
+	}
 	return best
 }
 
-// flushPending re-dispatches queued arrivals once a slot becomes servable.
-func (f *fleet) flushPending() {
-	if len(f.pending) == 0 {
-		return
-	}
-	now := float64(f.eng.Now())
-	queued := f.pending
-	f.pending = nil
-	for i, req := range queued {
-		best := f.pick(now)
-		if best == nil {
-			f.pending = append(f.pending, queued[i:]...)
-			return
-		}
-		f.submit(best, req)
-	}
-}
-
-// outstanding is fleet-wide queued+running load including undispatched
-// pending arrivals.
+// outstanding is fleet-wide queued+running load.
 func (f *fleet) outstanding() int {
-	n := len(f.pending)
+	n := 0
 	for _, s := range f.slots {
 		if s.rep != nil {
 			n += s.rep.Outstanding()
 		}
 	}
 	return n
+}
+
+// idle reports that no slot holds a request, counting retry backoffs.
+func (f *fleet) idle() bool {
+	for _, s := range f.slots {
+		if s.rep != nil && !s.rep.Idle() {
+			return false
+		}
+	}
+	return true
 }
 
 // tick is one control-loop round: estimate demand, reconcile the fleet
@@ -575,7 +555,7 @@ func (f *fleet) tick(*sim.Engine) {
 	for _, s := range f.slots {
 		if s.active {
 			w.Active[s.class]++
-			if s.servable(now) {
+			if s.up() {
 				w.Available[s.class]++
 			}
 		}
@@ -584,7 +564,7 @@ func (f *fleet) tick(*sim.Engine) {
 
 	// The loop ends once every arrival is dispatched and served; replicas
 	// still active then are billed to the clock in report().
-	if f.dispatchedN == f.totalArrivals && backlog == 0 {
+	if f.dispatchedN == f.totalArrivals && f.idle() {
 		f.done = true
 		return
 	}
@@ -635,15 +615,13 @@ func (f *fleet) reconcile(now float64, desired []int) {
 			f.overSince[ci] = -1
 			need := desired[ci] - activeN
 			// Prefer un-draining (still warm, no cold start) over cold
-			// activation; an un-drained replica is servable immediately,
-			// so queued arrivals flush onto it right away.
+			// activation.
 			for _, s := range f.slots {
 				if need == 0 {
 					break
 				}
 				if s.class == ci && s.active && s.draining {
 					s.draining = false
-					f.flushPending()
 					need--
 				}
 			}
@@ -657,13 +635,9 @@ func (f *fleet) reconcile(now float64, desired []int) {
 					}
 					s.active = true
 					s.billStart = now
-					s.availableAt = now + f.classes[ci].ColdStartSec
-					if f.classes[ci].ColdStartSec > 0 {
+					if cold := f.classes[ci].ColdStartSec; cold > 0 {
 						f.coldStarts[ci]++
-						availAt := s.availableAt
-						f.eng.Schedule(sim.Time(availAt-now), func(*sim.Engine) { f.flushPending() })
-					} else {
-						f.flushPending()
+						s.rep.Boot(cold)
 					}
 					need--
 				}
@@ -700,9 +674,11 @@ func (f *fleet) reconcile(now float64, desired []int) {
 }
 
 // retireDrained deactivates drained slots and closes their billing span.
+// A slot retires only once idle: a request waiting out a retry backoff
+// rejoins its queue, so it must not come back to an unbilled slot.
 func (f *fleet) retireDrained(now float64) {
 	for _, s := range f.slots {
-		if s.active && s.draining && s.rep.Outstanding() == 0 {
+		if s.active && s.draining && s.rep.Idle() {
 			s.active = false
 			s.draining = false
 			s.billedHours += (now - s.billStart) / 3600
@@ -749,30 +725,17 @@ func (f *fleet) report() (*Report, error) {
 		}
 	}
 	out := &Report{
-		Dispatch:   f.cfg.Dispatch.String(),
-		Aggregate:  serve.MergeReports(f.scfg.OfferedRate(), reps),
-		Windows:    f.windows,
-		Usage:      usage,
-		ColdStarts: sum(f.coldStarts),
+		Dispatch:  f.cfg.Dispatch.String(),
+		Aggregate: serve.MergeReports(f.scfg.OfferedRate(), reps),
+		Windows:   f.windows,
+		Usage:     usage,
 	}
-	// Undispatched pending arrivals (horizon hit mid-cold-start) are
-	// offered-but-unserved; account them so attainment cannot overcount.
-	out.Aggregate.Unfinished += len(f.pending)
 	goodTokens := out.Aggregate.GoodOutputTokens
-	if !out.Aggregate.Sketched {
-		// Exact aggregates re-derive goodput from the request ledger (the
-		// counter may be unset on reports from older producers).
-		goodTokens = 0
-		for _, m := range out.Aggregate.Requests {
-			if m.SLOMet {
-				goodTokens += m.OutputTokens
-			}
-		}
-	}
 	for i, c := range f.classes {
 		usage[i].CostUSD = usage[i].ReplicaHours * c.HourlyUSD
 		out.ReplicaHours += usage[i].ReplicaHours
 		out.CostUSD += usage[i].CostUSD
+		out.ColdStarts += usage[i].ColdStarts
 	}
 	if goodTokens > 0 {
 		out.USDPerMTok = out.CostUSD / (float64(goodTokens) / 1e6)
@@ -780,12 +743,4 @@ func (f *fleet) report() (*Report, error) {
 		out.USDPerMTok = math.Inf(1)
 	}
 	return out, nil
-}
-
-func sum(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
 }

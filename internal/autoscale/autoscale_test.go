@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -49,6 +50,27 @@ func testServeConfig(t *testing.T, requests int) serve.Config {
 		Seed:     1,
 		MaxBatch: 16,
 	}
+}
+
+// probed fills each class's capacity with ProbeCapacity, as the
+// production callers of Run do.
+func probed(t *testing.T, cfg Config, classes ...Class) []Class {
+	t.Helper()
+	out := append([]Class(nil), classes...)
+	for i := range out {
+		c, err := ProbeCapacity(out[i].Backend, cfg.Serve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i].CapacityReqPerSec = c
+	}
+	return out
+}
+
+// runProbed runs the classes after probing their capacities.
+func runProbed(t *testing.T, classes []Class, cfg Config) (*Report, error) {
+	t.Helper()
+	return Run(probed(t, cfg, classes...), cfg)
 }
 
 func TestColdStartSecMechanisms(t *testing.T) {
@@ -103,7 +125,7 @@ func TestRunConservesRequestsAndBills(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 12, Min: 1, Max: 4,
 	}}
-	rep, err := Run(classes, cfg)
+	rep, err := runProbed(t, classes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +171,11 @@ func TestRunDeterministicUnderSeed(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 12, Min: 1, Max: 3,
 	}}
-	a, err := Run(classes, cfg)
+	a, err := runProbed(t, classes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(classes, cfg)
+	b, err := runProbed(t, classes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +188,7 @@ func TestRunDeterministicUnderSeed(t *testing.T) {
 func TestColdStartDegradesAttainment(t *testing.T) {
 	mk := func(coldStart float64) *Report {
 		cfg := Config{Serve: testServeConfig(t, 96), IntervalSec: 10, TargetUtil: 0.8}
-		rep, err := Run([]Class{{
+		rep, err := runProbed(t, []Class{{
 			Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 			ColdStartSec: coldStart, Min: 1, Max: 4,
 		}}, cfg)
@@ -195,7 +217,7 @@ func TestHeterogeneousDispatchPolicies(t *testing.T) {
 	}
 	run := func(d Dispatch) *Report {
 		cfg := Config{Serve: testServeConfig(t, 96), Dispatch: d, IntervalSec: 10}
-		rep, err := Run(classes(), cfg)
+		rep, err := runProbed(t, classes(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +243,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(nil, Config{Serve: scfg}); err == nil {
 		t.Error("empty class list accepted")
 	}
-	bad := []Class{{Name: "x", Backend: testBackend(tee.TDX()), HourlyUSD: 0, Max: 1}}
+	bad := []Class{{Name: "x", Backend: testBackend(tee.TDX()), HourlyUSD: 0, Max: 1, CapacityReqPerSec: 1}}
 	if _, err := Run(bad, Config{Serve: scfg}); err == nil {
 		t.Error("zero hourly price accepted")
 	}
@@ -234,6 +256,11 @@ func TestRunValidation(t *testing.T) {
 	bad[0].ColdStartSec = -1
 	if _, err := Run(bad, Config{Serve: scfg}); err == nil {
 		t.Error("negative cold start accepted")
+	}
+	bad[0].ColdStartSec = 0
+	bad[0].CapacityReqPerSec = 0
+	if _, err := Run(bad, Config{Serve: scfg}); err == nil {
+		t.Error("unprobed class accepted")
 	}
 	if _, err := ParseDispatch("nope"); err == nil {
 		t.Error("unknown dispatch accepted")
@@ -253,11 +280,11 @@ func TestDemandAlphaDefaultBitIdentical(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 12, Min: 1, Max: 3,
 	}}
-	base, err := Run(classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10})
+	base, err := runProbed(t, classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Run(classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10, DemandAlpha: 1})
+	one, err := runProbed(t, classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10, DemandAlpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +304,7 @@ func TestDemandAlphaSmoothsDemand(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 12, Min: 1, Max: 4,
 	}}
-	rep, err := Run(classes, Config{Serve: testServeConfig(t, 96), IntervalSec: interval, DemandAlpha: alpha})
+	rep, err := runProbed(t, classes, Config{Serve: testServeConfig(t, 96), IntervalSec: interval, DemandAlpha: alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +333,9 @@ func TestDemandAlphaSmoothsDemand(t *testing.T) {
 }
 
 func TestDemandAlphaValidation(t *testing.T) {
-	classes := []Class{{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, Max: 2}}
+	classes := []Class{{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, Max: 2, CapacityReqPerSec: 1}}
 	for _, alpha := range []float64{-0.5, 1.5} {
-		if _, err := Run(classes, Config{Serve: testServeConfig(t, 8), DemandAlpha: alpha}); err == nil {
+		if _, err := runProbed(t, classes, Config{Serve: testServeConfig(t, 8), DemandAlpha: alpha}); err == nil {
 			t.Errorf("alpha %g accepted", alpha)
 		}
 	}
@@ -325,7 +352,7 @@ func TestAutoscaleObserver(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 1, Min: 2, Max: 4,
 	}}
-	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
+	rep, err := runProbed(t, classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +384,7 @@ func TestAutoscalePhaseConservation(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 1, Min: 2, Max: 4,
 	}}
-	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
+	rep, err := runProbed(t, classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,5 +397,103 @@ func TestAutoscalePhaseConservation(t *testing.T) {
 	}
 	if bad := obs.ReconcilePhases(rec.Events(), rep.Aggregate); len(bad) != 0 {
 		t.Fatalf("autoscaled phase reconciliation failed:\n%s", strings.Join(bad, "\n"))
+	}
+}
+
+// TestCrashedSlotKeepsItsArrivals: a scripted crash on the only slot of a
+// one-replica class queues the arrivals of its recovery on that slot, so
+// they are served once it is back — as on a fixed fleet — and the event
+// stream carries each request's true arrival instant, so it reconstructs
+// the report and the phase decomposition exactly.
+func TestCrashedSlotKeepsItsArrivals(t *testing.T) {
+	rec := obs.NewRecorderWindow(1, 512)
+	a, err := obs.NewAttribution(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := testServeConfig(t, 0)
+	scfg.Scenario = nil
+	for i := 0; i < 10; i++ {
+		scfg.Trace = append(scfg.Trace, serve.Request{ID: i, ArrivalSec: 0.4 * float64(i), InputLen: 96, OutputLen: 12})
+	}
+	scfg.Faults.Plan = []serve.FailPoint{{Replica: 0, TimeSec: 1}}
+	scfg.RecoverySec = 2
+	scfg.Observer = obs.Multi(rec, a)
+	rep, err := runProbed(t, []Class{{
+		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, Min: 1, Max: 1,
+	}}, Config{Serve: scfg, IntervalSec: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := rep.Aggregate
+	if agg.Crashes != 1 {
+		t.Fatalf("crashes = %d, want 1", agg.Crashes)
+	}
+	if agg.Completed != 10 {
+		t.Fatalf("completed %d of 10 (dropped %d, unfinished %d)", agg.Completed, agg.Dropped, agg.Unfinished)
+	}
+	if bad := obs.ReconcileReport(rec.Events(), agg); len(bad) != 0 {
+		t.Fatalf("event stream does not reconstruct the report:\n%s", strings.Join(bad, "\n"))
+	}
+	if bad := obs.ReconcilePhases(rec.Events(), agg); len(bad) != 0 {
+		t.Fatalf("phase reconciliation failed:\n%s", strings.Join(bad, "\n"))
+	}
+	if v := a.Report("tdx").Violations; len(v) != 0 {
+		t.Fatalf("attribution violations:\n%s", strings.Join(v, "\n"))
+	}
+}
+
+// retiredSlotWatch is an observer that flags admissions and retries on a
+// slot the scaler has already retired (stopped billing).
+type retiredSlotWatch struct {
+	f   *fleet
+	bad []string
+}
+
+func (w *retiredSlotWatch) Event(ev serve.Event) {
+	if ev.Kind != serve.EvAdmit && ev.Kind != serve.EvRetry {
+		return
+	}
+	if !w.f.slots[ev.Replica].active {
+		w.bad = append(w.bad, fmt.Sprintf("event %d for request %d on retired slot %d at %.3fs",
+			ev.Kind, ev.ReqID, ev.Replica, ev.TimeSec))
+	}
+}
+
+func (w *retiredSlotWatch) Sample(serve.Sample) {}
+
+// TestNoWorkOnRetiredSlots: with shedding and long retry backoffs, a
+// drained slot must not retire while one of its requests waits out a
+// backoff — the retry would rejoin the queue of an unbilled replica.
+func TestNoWorkOnRetiredSlots(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		scfg := testServeConfig(t, 96)
+		scfg.Seed = seed
+		scfg.Faults.Admission = serve.AdmitShed
+		scfg.DeadlineSec = 0.05
+		scfg.Faults.RetryMax = 3
+		scfg.Faults.RetryBackoffSec = 20
+		watch := &retiredSlotWatch{}
+		scfg.Observer = watch
+		cfg := Config{Serve: scfg, IntervalSec: 5, TargetUtil: 0.6}
+		f, err := newFleet(probed(t, cfg, Class{
+			Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
+			ColdStartSec: 12, Min: 1, Max: 4,
+		}), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		watch.f = f
+		rep, err := f.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(watch.bad) != 0 {
+			t.Errorf("seed %d: %d admissions/retries on retired slots, first: %s", seed, len(watch.bad), watch.bad[0])
+		}
+		agg := rep.Aggregate
+		if got := agg.Completed + agg.Dropped + agg.Unfinished; got != 96 {
+			t.Errorf("seed %d: %d of 96 requests accounted", seed, got)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func runChunkedPrefill(o Options) (*Result, error) {
 	})
 	res.Notes = append(res.Notes,
 		"Monolithic prefills run as dedicated iterations (decodes stall behind them); chunked iterations are hybrid: one chunk-budget of prompt tokens plus one decode step per round.",
-		"Chunk costing uses trace.PrefillChunkStep: attention grows with the cached history while projections scale with the chunk, so late chunks are more memory-bound than early ones.")
+		"Chunk costing uses trace.PrefillChunkStepInto: attention grows with the cached history while projections scale with the chunk, so late chunks are more memory-bound than early ones.")
 	return res, nil
 }
 

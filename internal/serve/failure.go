@@ -129,6 +129,12 @@ func (s *scheduler) scheduleNextCrash() {
 // and the replica is down until the cold-start recovery completes.
 func (s *scheduler) crash() {
 	if s.down || s.err != nil {
+		if s.down && s.failRNG != nil {
+			// Only a boot (Replica.Boot) can hold a replica down while a
+			// Poisson crash is pending: it absorbs the crash, and the stream
+			// draws the next one as a recovery would.
+			s.scheduleNextCrash()
+		}
 		return
 	}
 	s.down = true
@@ -213,7 +219,11 @@ func (s *scheduler) scheduleRetry(st *reqState) {
 	back := s.cfg.Faults.RetryBackoffSec * math.Pow(2, float64(st.attempt-1))
 	j := float64(mix64(uint64(st.req.ID)*0x9e3779b97f4a7c15+uint64(st.attempt))>>11) / float64(uint64(1)<<53)
 	back *= 1 + 0.5*j
-	s.eng.Schedule(sim.Time(back), func(*sim.Engine) { s.resubmit(st) })
+	s.backoff++
+	s.eng.Schedule(sim.Time(back), func(*sim.Engine) {
+		s.backoff--
+		s.resubmit(st)
+	})
 }
 
 // resubmit is the backoff's completion: the request rejoins the queue as a

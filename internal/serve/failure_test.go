@@ -455,3 +455,38 @@ func TestShedRetriesThenDrops(t *testing.T) {
 			rep.Completed, rep.Sheds, rep.Retries, rep.Dropped)
 	}
 }
+
+// TestBootAbsorbsPoissonCrashOnce: a Poisson crash that falls inside a
+// boot is absorbed, and the failure stream draws the next crash, so the
+// replica keeps failing once it is up. A boot itself counts no crash.
+func TestBootAbsorbsPoissonCrashOnce(t *testing.T) {
+	cfg := tinyConfig(1, 1)
+	cfg.Faults.MTBFSec = 5
+	cfg.RecoverySec = 0.5
+	eng := sim.NewEngine()
+	r, err := NewReplica(cpuBackend(tee.TDX()), cfg, eng, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Submit(Request{ID: 0, InputLen: 64, OutputLen: 8}) // arms the failure stream
+	r.Boot(50)
+	if !r.Down() {
+		t.Fatal("booting replica is not down")
+	}
+	if _, err := eng.RunUntil(50, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if rep := r.Report(); rep.Crashes != 0 || rep.Completed != 0 {
+		t.Fatalf("during the boot: %d crashes, %d completed; want none", rep.Crashes, rep.Completed)
+	}
+	if _, err := eng.RunUntil(200, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	rep := r.Report()
+	if rep.Completed != 1 {
+		t.Fatalf("completed %d of 1 after the boot", rep.Completed)
+	}
+	if rep.Crashes == 0 {
+		t.Fatal("no crash after the boot: the absorbed crash ended the Poisson stream")
+	}
+}

@@ -45,10 +45,30 @@ func (r *Replica) Submit(req Request) {
 // Outstanding is the replica's current load: queued plus running requests.
 func (r *Replica) Outstanding() int { return r.s.outstanding() }
 
-// Down reports whether the replica is currently crashed and paying its TEE
-// cold-start recovery (fault injection). Always false without fault
-// injection configured.
+// Boot holds a freshly activated replica down for its cold start of sec
+// seconds, in the state a crash recovery uses: requests submitted
+// meanwhile queue and start once it is up. A boot loses no state and
+// counts no crash or downtime. A replica still recovering from a crash is
+// already rebuilding its TEE, so Boot leaves it to that recovery.
+func (r *Replica) Boot(sec float64) {
+	s := r.s
+	if sec <= 0 || s.down {
+		return
+	}
+	s.down = true
+	s.eng.Schedule(sim.Time(sec), func(*sim.Engine) {
+		s.down = false
+		s.kick()
+	})
+}
+
+// Down reports whether the replica is booting (Boot) or crashed and
+// paying its TEE cold-start recovery (fault injection).
 func (r *Replica) Down() bool { return r.s.down }
+
+// Idle reports that the replica holds no request: nothing queued or
+// running, and none waiting out a retry backoff to rejoin its queue.
+func (r *Replica) Idle() bool { return r.s.outstanding() == 0 && r.s.backoff == 0 }
 
 // Sheds counts requests admission control has declined so far. Control
 // loops read it as an overload signal: a rising shed rate means offered

@@ -187,7 +187,8 @@ type scheduler struct {
 	// hook, down parks the iteration loop during recovery, abortRound
 	// discards the round a crash interrupted, and recoverySec is the
 	// priced cold start. drops is the per-reason drop taxonomy; sheds,
-	// retries, crashes, downtimeSec and wastedTokens feed the report.
+	// retries, crashes, downtimeSec and wastedTokens feed the report;
+	// backoff counts requests waiting out a retry backoff.
 	failEnabled  bool
 	failArmed    bool
 	down         bool
@@ -200,6 +201,7 @@ type scheduler struct {
 	sheds        int
 	retries      int
 	wastedTokens int
+	backoff      int
 	drops        [NumDropReasons]int
 	// err records a costing failure (a backend misconfiguration); it halts
 	// the loop and fails the run instead of reporting zeros as data.
@@ -939,7 +941,7 @@ func (s *scheduler) produce(r *reqState, now float64) {
 func (s *scheduler) report(states []*reqState) *Report {
 	rep := &Report{
 		Platform:              s.be.platformName(),
-		OfferedRate:           s.cfg.Rate,
+		OfferedRate:           offeredRate(s.cfg),
 		Preemptions:           s.preemptions,
 		KVBlocksTotal:         s.kv.TotalBlocks(),
 		PeakKVBlocksInUse:     s.kv.PeakInUse(),
@@ -963,17 +965,6 @@ func (s *scheduler) report(states []*reqState) *Report {
 		HandoffFallbacks:      s.handoffFallbacks,
 		HandoffTokens:         s.handoffTokens,
 		HandoffBytes:          s.handoffBytes,
-	}
-	if len(s.cfg.Trace) > 0 {
-		span := 0.0
-		for _, r := range s.cfg.Trace {
-			if r.ArrivalSec > span {
-				span = r.ArrivalSec
-			}
-		}
-		if span > 0 {
-			rep.OfferedRate = float64(len(s.cfg.Trace)) / span
-		}
 	}
 	makespan := float64(s.eng.Now())
 	if s.failEnabled && s.lastProgress < makespan {

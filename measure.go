@@ -116,9 +116,10 @@ func (s *Session) MeasureDistribution(w Workload, opts MeasureOptions) (*Latency
 	dist := &LatencyDistribution{
 		Samples: append([]float64(nil), res.TokenLatencies...),
 		Mean:    stats.Mean(kept),
-		P25:     stats.Percentile(kept, 25),
-		P50:     stats.Percentile(kept, 50),
-		P75:     stats.Percentile(kept, 75),
+	}
+	// One sort for the three quartiles; an empty kept set leaves them zero.
+	if q := stats.Percentiles(kept, 25, 50, 75); q != nil {
+		dist.P25, dist.P50, dist.P75 = q[0], q[1], q[2]
 	}
 	keptSet := make(map[float64]int)
 	for _, k := range kept {

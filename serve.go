@@ -2,6 +2,7 @@ package cllm
 
 import (
 	"fmt"
+	"math"
 
 	"cllm/internal/cloud"
 	"cllm/internal/model"
@@ -64,8 +65,14 @@ type ServeConfig struct {
 	// side's swap bandwidth, a NIC transfer, ingest at the decode side).
 	// Each group's platform opens as a sub-session of this one (same
 	// testbed, seed and attestation policy); LBPolicy applies to both
-	// stages. Mutually exclusive with Replicas > 1.
+	// stages. Mutually exclusive with Replicas > 1 and with Autoscale.
 	Topology string
+	// Autoscale simulates an elastic heterogeneous fleet instead of a
+	// fixed one (see AutoscaleOptions); results specific to elasticity are
+	// attached as ServeReport.Autoscale. Mutually exclusive with
+	// Replicas > 1 and with Topology. A Faults.Plan index names a replica
+	// slot: each class contributes Max slots, in class order.
+	Autoscale *AutoscaleOptions
 	// Sockets / Cores select the CPU deployment as in MeasureOptions.
 	Sockets, Cores int
 	// TTFTSLOSec / TPOTSLOSec are SLO targets (defaults 5s / 0.5s).
@@ -168,8 +175,10 @@ type ServeReport struct {
 	// cold-start recovery they paid.
 	Crashes     int
 	DowntimeSec float64
-	// TokensPerSec is aggregate generation throughput; goodput counts only
-	// tokens of requests that met the SLO.
+	// TotalTokens is the run's output-token production; TokensPerSec is
+	// aggregate generation throughput; goodput counts only tokens of
+	// requests that met the SLO.
+	TotalTokens         int
 	TokensPerSec        float64
 	GoodputTokensPerSec float64
 	// SLOAttainment is the fraction of offered requests served within SLO.
@@ -209,8 +218,11 @@ type ServeReport struct {
 	// so the offered rate fits the measured per-replica SLO-compliant rate.
 	// With Replicas > 1 the fleet is *simulated*: ReplicasAtSLO echoes the
 	// configured size and USDPerMTokAtSLO prices the whole rented fleet
-	// over its simulated SLO-compliant token rate. SLOFeasible is false
-	// when no request was served within SLO.
+	// over its simulated SLO-compliant token rate. An elastic run reports
+	// its peak billed fleet as ReplicasAtSLO and prices its billed
+	// replica-hours (Autoscale.USDPerMTok); its rent varies over the run,
+	// so FleetHourlyUSD stays zero. SLOFeasible is false when no request
+	// was served within SLO.
 	SLOFeasible     bool
 	ReplicasAtSLO   int
 	FleetHourlyUSD  float64
@@ -221,6 +233,10 @@ type ServeReport struct {
 	// Attrib holds the latency attribution and TEE-tax decomposition (nil
 	// unless ServeConfig.Attribution was set).
 	Attrib *obs.AttribReport
+	// Autoscale holds an elastic run's billing, cold starts, per-class
+	// usage and control-loop series (nil unless ServeConfig.Autoscale was
+	// set).
+	Autoscale *AutoscaleReport
 	// Sketched reports that quantiles came from streaming sketches with
 	// relative error bound SketchAlpha rather than exact order statistics.
 	Sketched    bool
@@ -246,17 +262,6 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	mcfg, err := model.Lookup(cfg.Model)
 	if err != nil {
 		return nil, err
-	}
-
-	var be serve.Backend
-	if s.isGPU {
-		be = serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: s.gpu, Platform: s.platform, Seed: s.cfg.Seed}}
-	} else {
-		be = serve.Backend{CPU: perf.CPURun{
-			CPU: s.cpu, Platform: s.platform,
-			Sockets: cfg.Sockets, CoresPerSocket: cfg.Cores,
-			AMX: true, Seed: s.cfg.Seed,
-		}}
 	}
 
 	var scenario *workload.Scenario
@@ -331,24 +336,26 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		}
 	}
 	scfg.Observer = obs.Multi(rec, attrib)
-	if cfg.Topology == "" {
+	var be serve.Backend
+	if cfg.Topology == "" && cfg.Autoscale == nil {
+		be = s.serveBackend(cfg)
 		// Reuse the session's memoized costing table for this deployment
 		// shape: sweeps calling Serve repeatedly re-cost identical iteration
 		// shapes from the table (bit-identical floats; see
-		// serve.Backend.Coster). Topology runs skip the memo — each role
-		// group's backend gets its own table inside Fleet.Run, keyed by
-		// nothing the session cache distinguishes (two CPU TEEs share a
-		// deployment shape but not a cost model).
-		be.Coster, err = s.costerFor(be, scfg)
+		// serve.Backend.Coster). Topology and elastic runs skip the memo —
+		// each role group or class gets its own table, keyed by nothing
+		// the session cache distinguishes (two CPU TEEs share a deployment
+		// shape but not a cost model).
+		be.Coster, err = s.costerFor(be, scfg, false)
 		if err != nil {
 			return nil, err
 		}
 		if attrib != nil {
 			// The clear-twin coster shares the session memo too: sweeps
 			// re-price the counterfactual from the same table. A topology
-			// run has no single clear twin (each group would need its own),
-			// so its attribution reports zero TEE tax.
-			scfg.ClearCoster, err = s.clearCosterFor(be, scfg)
+			// or elastic run has no single clear twin (each group or class
+			// would need its own), so its attribution reports zero TEE tax.
+			scfg.ClearCoster, err = s.costerFor(be, scfg, true)
 			if err != nil {
 				return nil, err
 			}
@@ -358,7 +365,16 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	var rep *serve.Report
 	var fleet *serve.FleetReport
 	var topoHourly float64
+	var elastic *AutoscaleReport
 	switch {
+	case cfg.Autoscale != nil:
+		if cfg.Replicas > 1 || cfg.Topology != "" {
+			return nil, fmt.Errorf("cllm: Autoscale sizes the fleet itself; leave Replicas and Topology unset")
+		}
+		rep, elastic, err = s.runAutoscale(cfg, scfg)
+		if err != nil {
+			return nil, err
+		}
 	case cfg.Topology != "":
 		if cfg.Replicas > 1 {
 			return nil, fmt.Errorf("cllm: set Replicas or Topology, not both (the topology fixes the fleet size)")
@@ -393,6 +409,7 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		Retries:             rep.Retries,
 		Crashes:             rep.Crashes,
 		DowntimeSec:         rep.DowntimeSec,
+		TotalTokens:         rep.TotalTokens,
 		TokensPerSec:        rep.TokensPerSec,
 		GoodputTokensPerSec: rep.GoodputTokensPerSec,
 		SLOAttainment:       rep.SLOAttainment(),
@@ -427,6 +444,23 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		rec.Recycle()
 	}
 
+	if elastic != nil {
+		out.Autoscale = elastic
+		out.LBPolicy = elastic.Dispatch
+		for _, w := range elastic.Windows {
+			n := 0
+			for _, a := range w.Active {
+				n += a
+			}
+			out.Replicas = max(out.Replicas, n)
+		}
+		out.ReplicasAtSLO = out.Replicas
+		if !math.IsInf(elastic.USDPerMTok, 1) {
+			out.SLOFeasible = true
+			out.USDPerMTokAtSLO = elastic.USDPerMTok
+		}
+		return out, nil
+	}
 	if cfg.Topology != "" {
 		// A topology fleet mixes rental rates: price the whole fleet from
 		// the per-group sum runTopology computed.
@@ -483,26 +517,11 @@ func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config, policy serve.L
 		if err != nil {
 			return nil, 0, err
 		}
-		sub, err := Open(Config{
-			Platform:        g.Platform,
-			System:          s.cfg.System,
-			EnclaveSize:     s.cfg.EnclaveSize,
-			SkipAttestation: s.cfg.SkipAttestation,
-			Seed:            s.cfg.Seed,
-		})
+		sub, err := s.subSession(g.Platform)
 		if err != nil {
 			return nil, 0, fmt.Errorf("cllm: topology group %q: %w", g.Platform, err)
 		}
-		var be serve.Backend
-		if sub.isGPU {
-			be = serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: sub.gpu, Platform: sub.platform, Seed: s.cfg.Seed}}
-		} else {
-			be = serve.Backend{CPU: perf.CPURun{
-				CPU: sub.cpu, Platform: sub.platform,
-				Sockets: cfg.Sockets, CoresPerSocket: cfg.Cores,
-				AMX: true, Seed: s.cfg.Seed,
-			}}
-		}
+		be := sub.serveBackend(cfg)
 		hourly, err := sub.serveHourlyUSD(cfg)
 		if err != nil {
 			return nil, 0, err
@@ -518,48 +537,48 @@ func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config, policy serve.L
 	return rep, totalHourly, err
 }
 
-// costerFor returns the session's shared step coster for one serving
-// deployment shape, building it on first use.
-func (s *Session) costerFor(be serve.Backend, scfg serve.Config) (*perf.StepCoster, error) {
-	bucket := scfg.CostBucket
-	if bucket < 1 {
-		bucket = 1
-	}
-	key := fmt.Sprintf("%s|%s|%d|%d|%d|%v",
-		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, be.CPU.CoresPerSocket, bucket, be.IsGPU)
-	s.costerMu.Lock()
-	defer s.costerMu.Unlock()
-	if c, ok := s.costers[key]; ok {
-		return c, nil
-	}
-	c, err := serve.NewStepCoster(be, scfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.costers == nil {
-		s.costers = make(map[string]*perf.StepCoster)
-	}
-	s.costers[key] = c
-	return c, nil
+// subSession opens platform as a sub-session of this one: same testbed,
+// enclave size, seed and attestation policy.
+func (s *Session) subSession(platform string) (*Session, error) {
+	return Open(Config{
+		Platform:        platform,
+		System:          s.cfg.System,
+		EnclaveSize:     s.cfg.EnclaveSize,
+		SkipAttestation: s.cfg.SkipAttestation,
+		Seed:            s.cfg.Seed,
+	})
 }
 
-// clearCosterFor returns the session's shared clear-hardware twin coster
-// for one deployment shape (the counterfactual side of TEE-tax
-// attribution), building it on first use under a key disjoint from the
-// real costers'.
-func (s *Session) clearCosterFor(be serve.Backend, scfg serve.Config) (*perf.StepCoster, error) {
-	bucket := scfg.CostBucket
-	if bucket < 1 {
-		bucket = 1
+// serveBackend is one serving replica of the session's platform in the
+// deployment cfg selects (sockets and cores apply to CPU platforms).
+func (s *Session) serveBackend(cfg ServeConfig) serve.Backend {
+	if s.isGPU {
+		return serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: s.gpu, Platform: s.platform, Seed: s.cfg.Seed}}
 	}
-	key := fmt.Sprintf("%s|%s|%d|%d|%d|%v|clear",
-		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, be.CPU.CoresPerSocket, bucket, be.IsGPU)
+	return serve.Backend{CPU: perf.CPURun{
+		CPU: s.cpu, Platform: s.platform,
+		Sockets: cfg.Sockets, CoresPerSocket: cfg.Cores,
+		AMX: true, Seed: s.cfg.Seed,
+	}}
+}
+
+// costerFor returns the session's shared step coster for one serving
+// deployment shape, building it on first use. clear selects the
+// clear-hardware twin (the counterfactual side of TEE-tax attribution),
+// kept under a key disjoint from the real costers'.
+func (s *Session) costerFor(be serve.Backend, scfg serve.Config, clear bool) (*perf.StepCoster, error) {
+	key := fmt.Sprintf("%s|%s|%d|%d|%d|%v|%v",
+		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, be.CPU.CoresPerSocket, max(scfg.CostBucket, 1), be.IsGPU, clear)
 	s.costerMu.Lock()
 	defer s.costerMu.Unlock()
 	if c, ok := s.costers[key]; ok {
 		return c, nil
 	}
-	c, err := serve.NewClearStepCoster(be, scfg)
+	build := serve.NewStepCoster
+	if clear {
+		build = serve.NewClearStepCoster
+	}
+	c, err := build(be, scfg)
 	if err != nil {
 		return nil, err
 	}

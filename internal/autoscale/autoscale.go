@@ -194,9 +194,6 @@ type Report struct {
 	ColdStarts int
 }
 
-// SLOAttainment returns the fraction of offered requests served within SLO.
-func (r *Report) SLOAttainment() float64 { return r.Aggregate.SLOAttainment() }
-
 // ProbeCapacity measures one replica's saturated completion rate for the
 // config's request shape: a closed burst (every probe request arrives at
 // t=0) is served to completion and the rate is completed/makespan. The
@@ -409,6 +406,9 @@ type fleet struct {
 	// count (scale-down hysteresis); -1 means not currently over.
 	overSince []float64
 	done      bool
+	// endSec is when billing stops once the loop is done: its last tick or
+	// a later boot end. (Crash events alone drive the clock to the horizon.)
+	endSec float64
 	// err records a mid-simulation replica-construction failure; it halts
 	// the loop and fails the run.
 	err error
@@ -566,6 +566,7 @@ func (f *fleet) tick(*sim.Engine) {
 	// still active then are billed to the clock in report().
 	if f.dispatchedN == f.totalArrivals && f.idle() {
 		f.done = true
+		f.endSec = max(f.endSec, now)
 		return
 	}
 	f.eng.Schedule(sim.Time(interval), f.tick)
@@ -638,6 +639,7 @@ func (f *fleet) reconcile(now float64, desired []int) {
 					if cold := f.classes[ci].ColdStartSec; cold > 0 {
 						f.coldStarts[ci]++
 						s.rep.Boot(cold)
+						f.endSec = max(f.endSec, now+cold)
 					}
 					need--
 				}
@@ -686,13 +688,17 @@ func (f *fleet) retireDrained(now float64) {
 	}
 }
 
-// report assembles the run outcome, billing still-active slots to the
-// final clock.
+// report assembles the run outcome, billing still-active slots to the end
+// of the run: endSec once the loop is done, the final clock when the
+// horizon cut it short.
 func (f *fleet) report() (*Report, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
 	now := float64(f.eng.Now())
+	if f.done {
+		now = f.endSec
+	}
 	usage := make([]ClassUsage, len(f.classes))
 	var reps []*serve.Report
 	for i, c := range f.classes {

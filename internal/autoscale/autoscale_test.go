@@ -151,7 +151,7 @@ func TestRunConservesRequestsAndBills(t *testing.T) {
 	if rep.ColdStarts == 0 {
 		t.Error("bursty load never triggered a scale-up")
 	}
-	if att := rep.SLOAttainment(); att <= 0 || att > 1 {
+	if att := rep.Aggregate.SLOAttainment(); att <= 0 || att > 1 {
 		t.Errorf("attainment %g outside (0, 1]", att)
 	}
 	if math.IsNaN(rep.USDPerMTok) {
@@ -180,7 +180,7 @@ func TestRunDeterministicUnderSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.ReplicaHours != b.ReplicaHours || a.CostUSD != b.CostUSD ||
-		a.SLOAttainment() != b.SLOAttainment() || a.ColdStarts != b.ColdStarts {
+		a.Aggregate.SLOAttainment() != b.Aggregate.SLOAttainment() || a.ColdStarts != b.ColdStarts {
 		t.Errorf("not deterministic: %+v vs %+v", a, b)
 	}
 }
@@ -202,9 +202,9 @@ func TestColdStartDegradesAttainment(t *testing.T) {
 	if warm.ColdStarts != 0 {
 		t.Errorf("zero-cold-start run recorded %d cold starts", warm.ColdStarts)
 	}
-	if cold.SLOAttainment() > warm.SLOAttainment() {
+	if cold.Aggregate.SLOAttainment() > warm.Aggregate.SLOAttainment() {
 		t.Errorf("cold start improved attainment: %.3f cold vs %.3f warm",
-			cold.SLOAttainment(), warm.SLOAttainment())
+			cold.Aggregate.SLOAttainment(), warm.Aggregate.SLOAttainment())
 	}
 }
 
@@ -495,5 +495,31 @@ func TestNoWorkOnRetiredSlots(t *testing.T) {
 		if got := agg.Completed + agg.Dropped + agg.Unfinished; got != 96 {
 			t.Errorf("seed %d: %d of 96 requests accounted", seed, got)
 		}
+	}
+}
+
+// TestFaultTailIsNotBilled: a Poisson failure stream keeps the engine
+// clock running to the horizon after the last request. Billing must stop
+// when the control loop does, so a failure stream that never fires during
+// the workload leaves the bill exactly as without fault injection.
+func TestFaultTailIsNotBilled(t *testing.T) {
+	run := func(mtbf float64) *Report {
+		scfg := testServeConfig(t, 64)
+		scfg.Faults.MTBFSec = mtbf
+		rep, err := runProbed(t, []Class{{
+			Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
+			ColdStartSec: 12, Min: 1, Max: 3,
+		}}, Config{Serve: scfg, IntervalSec: 5, TargetUtil: 0.6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base, faulty := run(0), run(1e7)
+	if faulty.Aggregate.Crashes != 0 {
+		t.Fatalf("MTBF 1e7 s crashed %d times during a minutes-long run", faulty.Aggregate.Crashes)
+	}
+	if !reflect.DeepEqual(base.Usage, faulty.Usage) || base.ReplicaHours != faulty.ReplicaHours {
+		t.Fatalf("idle failure stream changed the bill:\nwithout %+v\nwith    %+v", base.Usage, faulty.Usage)
 	}
 }

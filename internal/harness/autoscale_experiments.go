@@ -125,7 +125,7 @@ func runHetero(o Options) (*Result, error) {
 		}
 		total := rep.Usage[0].Dispatched + rep.Usage[1].Dispatched
 		out := outcome{
-			att: rep.SLOAttainment(), goodput: rep.Aggregate.GoodputTokensPerSec,
+			att: rep.Aggregate.SLOAttainment(), goodput: rep.Aggregate.GoodputTokensPerSec,
 			usd: rep.USDPerMTok, ttftP99: rep.Aggregate.TTFT.P99,
 		}
 		if total > 0 {
@@ -276,7 +276,7 @@ func runAutoscale(o Options) (*Result, error) {
 		b := best{hours: math.Inf(1)}
 		for si, sw := range sweeps {
 			rep := reports[ci*len(sweeps)+si]
-			att := rep.SLOAttainment()
+			att := rep.Aggregate.SLOAttainment()
 			if sw.minFloor == 1 && sw.util == 0.6 {
 				attainAt[isCold] = att
 			}
